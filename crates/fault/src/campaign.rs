@@ -162,7 +162,7 @@ impl OutcomeCounts {
 
 /// One classified injection (kept for tests and verbose reporting; the
 /// JSON document carries only aggregates).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectionRecord {
     /// Workload the fault was injected into.
     pub workload: String,
@@ -413,6 +413,16 @@ pub fn run_program_campaign(
     name: &str,
     cfg: &CampaignConfig,
 ) -> Result<CampaignResult, String> {
+    run_campaign(&mut [prepare_program(program, name, cfg)?], cfg)
+}
+
+/// Prepares a bare program as a [`Workload`] whose oracle is the golden
+/// run's final architectural state (see [`run_program_campaign`]).
+fn prepare_program(
+    program: &Program,
+    name: &str,
+    cfg: &CampaignConfig,
+) -> Result<Workload<'static>, String> {
     let mut m = Machine::new(cfg.sim_config());
     m.load_program(program);
     // Golden pass on a scratch copy to capture the reference state; the
@@ -438,20 +448,14 @@ pub fn run_program_campaign(
             Err("final architectural state differs from golden".into())
         }
     };
-    let mut workloads = vec![Workload::prepare(
-        name.to_string(),
-        m,
-        regions,
-        Box::new(verify),
-    )?];
-    run_campaign(&mut workloads, cfg)
+    Workload::prepare(name.to_string(), m, regions, Box::new(verify))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mt_fparith::FpOp;
-    use mt_isa::{FReg, FpuAluInstr, Instr};
+    use mt_isa::{DataSegment, FReg, FpuAluInstr, IReg, Instr};
 
     /// A small all-FPU workload: two vector ops and a scalar combine.
     fn vector_program() -> Program {
@@ -473,6 +477,44 @@ mod tests {
             Instr::Halt,
         ])
         .unwrap()
+    }
+
+    /// Loads two doubles from a data segment, multiplies them, and stores
+    /// the product back, so memory faults land in data as well as text.
+    fn memory_program() -> Program {
+        let mut prog = Program::assemble(&[
+            Instr::Fld {
+                fr: FReg::new(0),
+                base: IReg::new(0),
+                offset: 0x2000,
+            },
+            Instr::Fld {
+                fr: FReg::new(1),
+                base: IReg::new(0),
+                offset: 0x2008,
+            },
+            Instr::Falu(FpuAluInstr::scalar(
+                FpOp::Mul,
+                FReg::new(2),
+                FReg::new(0),
+                FReg::new(1),
+            )),
+            Instr::Fst {
+                fr: FReg::new(2),
+                base: IReg::new(0),
+                offset: 0x2010,
+            },
+            Instr::Halt,
+        ])
+        .unwrap();
+        prog.segments.push(DataSegment {
+            base: 0x2000,
+            bytes: [1.5f64, -2.25, 0.0]
+                .iter()
+                .flat_map(|v| v.to_le_bytes())
+                .collect(),
+        });
+        prog
     }
 
     fn small_cfg(injections: usize) -> CampaignConfig {
@@ -518,6 +560,41 @@ mod tests {
         )
         .unwrap();
         assert_eq!(tick.to_json().pretty(), xlate.to_json().pretty());
+    }
+
+    /// A long-lived caller reuses its prepared workloads: a second
+    /// campaign restores machines whose memory already holds the first
+    /// campaign's writes, so every restore takes the incremental path. It
+    /// must record exactly what a campaign on fresh workloads records.
+    #[test]
+    fn warm_workloads_record_what_fresh_ones_do() {
+        let programs = [("vec", vector_program()), ("mem", memory_program())];
+        let prepare = |cfg: &CampaignConfig| -> Vec<Workload<'static>> {
+            programs
+                .iter()
+                .map(|(name, prog)| prepare_program(prog, name, cfg).unwrap())
+                .collect()
+        };
+        let cfg = small_cfg(120);
+        let mut warm = prepare(&cfg);
+        run_campaign(
+            &mut warm,
+            &CampaignConfig {
+                seed: 0xB6,
+                ..small_cfg(120)
+            },
+        )
+        .unwrap();
+        let again = run_campaign(&mut warm, &cfg).unwrap();
+        let fresh = run_campaign(&mut prepare(&cfg), &cfg).unwrap();
+        assert_eq!(again.records, fresh.records);
+        assert!(
+            fresh
+                .records
+                .iter()
+                .any(|r| r.injection.target.structure() == "memory"),
+            "the plan must include memory faults"
+        );
     }
 
     #[test]

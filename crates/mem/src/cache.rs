@@ -141,7 +141,7 @@ struct Line {
 /// assert_eq!(c.access(0x1000, AccessKind::Read), 14); // cold miss
 /// assert_eq!(c.access(0x1008, AccessKind::Read), 0);  // same 16-byte line
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
     /// Lines stored set-major: set `s`'s ways occupy
@@ -156,6 +156,23 @@ pub struct Cache {
     /// `log2(sets)` when the set count is a power of two (always, for
     /// the paper's geometries); odd set counts fall back to div/mod.
     index_shift: Option<u32>,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache {
+            lines: self.lines.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies into the existing line array: checkpoint restores rewind
+    /// every cache once per injection.
+    fn clone_from(&mut self, source: &Cache) {
+        let mut lines = std::mem::take(&mut self.lines);
+        lines.clone_from(&source.lines);
+        *self = Cache { lines, ..*source };
+    }
 }
 
 impl Cache {

@@ -47,11 +47,27 @@ impl fmt::Display for MemError {
 
 impl std::error::Error for MemError {}
 
+/// Bytes per dirty-tracking page: the granularity at which
+/// [`Memory::restore_from`] rewinds a checkpoint.
+const PAGE_BYTES: usize = 4096;
+
 /// Main memory: a flat little-endian byte array.
 ///
 /// Addresses are 32-bit as on the MultiTitan (Fig. 1 shows a 32-bit address
 /// bus). Accesses must be naturally aligned — the simulator treats
 /// misalignment as a program bug and panics with the offending address.
+///
+/// Memory remembers which checkpoint it last matched: after a restore
+/// ([`MemorySystem::restore_from`](crate::MemorySystem::restore_from)) it
+/// holds that checkpoint's id, and every write marks its 4 KiB page
+/// dirty. Invariant: while an id is held, the bytes outside the dirty
+/// pages equal that checkpoint's bytes, so the next restore of the same
+/// checkpoint copies back only the dirty pages. The invariant is a
+/// property of the value, so it survives `Clone`.
+///
+/// Equality (`==`) compares logical contents: size, watch, watch count,
+/// and bytes, where bytes never written compare as zero. How much backing
+/// exists and which checkpoint is held do not take part.
 ///
 /// ```
 /// use mt_mem::Memory;
@@ -74,6 +90,12 @@ pub struct Memory {
     /// write path, including direct workload pokes, lands here).
     watch: (u32, u32),
     watch_writes: u64,
+    /// One bit per 4 KiB page of the backing written since the memory
+    /// last matched checkpoint `synced`. Grown with the backing.
+    dirty: Vec<u64>,
+    /// The checkpoint whose bytes this memory holds outside the dirty
+    /// pages, if any.
+    synced: Option<u64>,
 }
 
 impl Memory {
@@ -85,6 +107,8 @@ impl Memory {
             size,
             watch: (0, 0),
             watch_writes: 0,
+            dirty: Vec::new(),
+            synced: None,
         }
     }
 
@@ -105,11 +129,63 @@ impl Memory {
     /// clears any watch — while keeping the backing allocation, so a
     /// long-lived worker (one `mt-serve` worker thread per core, each
     /// recycling its machine across arbitrary jobs) never leaks one job's
-    /// data into the next and never re-allocates per job.
+    /// data into the next and never re-allocates per job. The memory no
+    /// longer matches any checkpoint, so the next restore copies it in
+    /// full.
     pub fn clear(&mut self) {
         self.bytes.clear();
         self.watch = (0, 0);
         self.watch_writes = 0;
+        self.synced = None;
+    }
+
+    /// Makes this memory equal to `checkpoint`, the memory of the
+    /// checkpoint identified by `id`. The caller guarantees that an id
+    /// always names the same, unchanged contents.
+    ///
+    /// When this memory last matched `id` (see the type's invariant), only
+    /// the pages written since are copied back and the backing is cut to
+    /// the checkpoint's extent. Otherwise — the first restore, a different
+    /// checkpoint, or after [`Memory::clear`] — the whole backing is copied
+    /// into the existing allocation and `id` is adopted. Either way the
+    /// dirty set is empty afterwards.
+    pub(crate) fn restore_from(&mut self, checkpoint: &Memory, id: u64) {
+        let Memory {
+            bytes,
+            size,
+            watch,
+            watch_writes,
+            dirty: _,
+            synced: _,
+        } = checkpoint;
+        if self.synced == Some(id) {
+            // The backing only grows while a checkpoint is held, so
+            // everything past the checkpoint's extent was written since.
+            assert!(
+                self.bytes.len() >= bytes.len(),
+                "memory shrank while holding checkpoint {id}"
+            );
+            self.bytes.truncate(bytes.len());
+            for (w, word) in self.dirty.iter_mut().enumerate() {
+                let mut pages = std::mem::take(word);
+                while pages != 0 {
+                    let start = (w * 64 + pages.trailing_zeros() as usize) * PAGE_BYTES;
+                    pages &= pages - 1;
+                    if start < bytes.len() {
+                        let end = (start + PAGE_BYTES).min(bytes.len());
+                        self.bytes[start..end].copy_from_slice(&bytes[start..end]);
+                    }
+                }
+            }
+        } else {
+            self.bytes.clone_from(bytes);
+            self.dirty.clear();
+            self.dirty.resize(dirty_words(bytes.len()), 0);
+            self.synced = Some(id);
+        }
+        self.size = *size;
+        self.watch = *watch;
+        self.watch_writes = *watch_writes;
     }
 
     /// Memory size in bytes.
@@ -182,8 +258,13 @@ impl Memory {
         let a = addr as usize;
         if a + N > self.bytes.len() {
             self.bytes.resize(a + N, 0);
+            let words = dirty_words(a + N).max(self.dirty.len());
+            self.dirty.resize(words, 0);
         }
         self.bytes[a..a + N].copy_from_slice(&data);
+        // An aligned access of at most 8 bytes never straddles a page.
+        let page = a / PAGE_BYTES;
+        self.dirty[page / 64] |= 1 << (page % 64);
     }
 
     /// Reads a 32-bit word.
@@ -291,6 +372,28 @@ impl Memory {
     }
 }
 
+/// Words of dirty bitmap covering a backing of `len` bytes.
+fn dirty_words(len: usize) -> usize {
+    len.div_ceil(PAGE_BYTES).div_ceil(64)
+}
+
+impl PartialEq for Memory {
+    fn eq(&self, other: &Memory) -> bool {
+        let (short, long) = if self.bytes.len() <= other.bytes.len() {
+            (&self.bytes, &other.bytes)
+        } else {
+            (&other.bytes, &self.bytes)
+        };
+        self.size == other.size
+            && self.watch == other.watch
+            && self.watch_writes == other.watch_writes
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&b| b == 0)
+    }
+}
+
+impl Eq for Memory {}
+
 impl fmt::Debug for Memory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Memory({} bytes)", self.size)
@@ -383,6 +486,45 @@ mod tests {
         let e = MemError::Misaligned { addr: 2, len: 4 };
         assert!(e.to_string().contains("misaligned"));
         let _: &dyn std::error::Error = &e;
+    }
+
+    #[test]
+    fn equality_is_logical_contents() {
+        let mut a = Memory::new(1 << 16);
+        let b = Memory::new(1 << 16);
+        a.write_u32(0x8000, 0);
+        assert_eq!(a, b, "an explicit zero equals never-written memory");
+        a.write_u32(0x8000, 1);
+        assert_ne!(a, b);
+        assert_ne!(Memory::new(64), Memory::new(128));
+        let mut watched = Memory::new(1 << 16);
+        watched.watch_range(0, 16);
+        assert_ne!(watched, b);
+    }
+
+    #[test]
+    fn restore_rewinds_pages_written_since() {
+        let mut checkpoint = Memory::new(1 << 20);
+        checkpoint.write_u32(0x1000, 7);
+        let mut m = Memory::new(1 << 20);
+        m.restore_from(&checkpoint, 1);
+        assert_eq!(m, checkpoint);
+        for round in 0..3 {
+            m.write_u32(0x1000, round);
+            m.write_u32(0x0FFC, round);
+            m.write_u32(0x8_0000, round);
+            m.restore_from(&checkpoint, 1);
+            assert_eq!(m, checkpoint);
+            assert_eq!(m.bytes.len(), checkpoint.bytes.len());
+        }
+        // A different checkpoint, and a cleared memory, copy in full.
+        let other = Memory::new(1 << 20);
+        m.restore_from(&other, 2);
+        assert_eq!(m, other);
+        m.restore_from(&checkpoint, 1);
+        m.clear();
+        m.restore_from(&checkpoint, 1);
+        assert_eq!(m, checkpoint);
     }
 
     #[test]

@@ -176,6 +176,26 @@ impl MemorySystem {
         self.reset_stats();
     }
 
+    /// Makes this hierarchy equal to `checkpoint`, the hierarchy of the
+    /// checkpoint identified by `id`; the caller guarantees that an id
+    /// always names the same, unchanged contents. The caches are copied
+    /// into their existing allocations. Memory copies back only the pages
+    /// written since it last matched `id` (see [`Memory`]); the first
+    /// restore of an id, or one after [`Memory::clear`], copies it in
+    /// full.
+    pub fn restore_from(&mut self, checkpoint: &MemorySystem, id: u64) {
+        let MemorySystem {
+            memory,
+            dcache,
+            icache,
+            ibuffer,
+        } = checkpoint;
+        self.memory.restore_from(memory, id);
+        self.dcache.clone_from(dcache);
+        self.icache.clone_from(icache);
+        self.ibuffer.clone_from(ibuffer);
+    }
+
     /// Clears all cache statistics without touching residency.
     pub fn reset_stats(&mut self) {
         self.dcache.reset_stats();

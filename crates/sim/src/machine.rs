@@ -1,5 +1,6 @@
 //! The machine: CPU substrate + FPU + memory hierarchy, stepped by cycle.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mt_core::{Fpu, Psw};
@@ -207,13 +208,22 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
+/// Source of [`Snapshot`] ids: unique within the process, never reused.
+static NEXT_SNAPSHOT_ID: AtomicU64 = AtomicU64::new(0);
+
 /// A complete machine checkpoint, taken by [`Machine::snapshot`] and
 /// consumed by [`Machine::restore`]. Opaque by design: the only supported
 /// operations are restoring it and reading the cycle it was taken at —
 /// everything else (registers, caches, in-flight pipeline state, pending
 /// instruction, statistics) round-trips bit-identically through it.
+///
+/// Each snapshot carries a process-unique id (clones share it, and their
+/// contents are identical). A machine's memory remembers the id it was
+/// last restored to, which lets a repeated restore of the same snapshot
+/// copy back only the memory pages written since.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
+    id: u64,
     /// Boxed so a `Snapshot` on the stack stays pointer-sized; the fault
     /// campaign holds one golden snapshot per kernel across hundreds of
     /// restores.
@@ -701,6 +711,7 @@ impl Machine {
     /// tick-by-tick and fast-forward execution.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
+            id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
             machine: Box::new(self.clone()),
         }
     }
@@ -709,8 +720,80 @@ impl Machine {
     /// becomes indistinguishable from the one that took the snapshot:
     /// resuming produces the same cycles, statistics, events, and
     /// architectural results.
+    ///
+    /// Everything is copied into the machine's existing allocations. Main
+    /// memory is the exception to a full copy: when this machine's memory
+    /// last matched this snapshot (it was restored from it, or is a clone
+    /// of a machine that was), only the 4 KiB pages written since are
+    /// copied back. The first restore, a different snapshot, or a machine
+    /// whose memory was cleared since ([`Machine::reset_for_new_job`]) takes
+    /// one full memory copy, after which repeated restores are incremental
+    /// again (see [`MemorySystem::restore_from`]).
     pub fn restore(&mut self, snapshot: &Snapshot) {
-        *self = (*snapshot.machine).clone();
+        // Exhaustive on purpose: a field added to `Machine` must be
+        // rewound here or the build breaks.
+        let Machine {
+            fpu,
+            mem,
+            config,
+            timing,
+            iregs,
+            int_ready,
+            pc,
+            entry,
+            cycle,
+            ls_free_at,
+            freeze_until,
+            fetch_ready_at,
+            pending,
+            pending_ready_at,
+            halted,
+            interrupt_at,
+            instructions,
+            stalls,
+            drain_cycles,
+            ir_pc,
+            ir_index,
+            violations,
+            trace_log,
+            trace_events,
+            decoded,
+            text_base,
+            predecode_enabled,
+            xlate,
+            cpu_waiting,
+            last_progress,
+        } = &*snapshot.machine;
+        self.fpu.clone_from(fpu);
+        self.mem.restore_from(mem, snapshot.id);
+        self.config.clone_from(config);
+        self.timing = *timing;
+        self.iregs = *iregs;
+        self.int_ready = *int_ready;
+        self.pc = *pc;
+        self.entry = *entry;
+        self.cycle = *cycle;
+        self.ls_free_at = *ls_free_at;
+        self.freeze_until = *freeze_until;
+        self.fetch_ready_at = *fetch_ready_at;
+        self.pending.clone_from(pending);
+        self.pending_ready_at = *pending_ready_at;
+        self.halted = *halted;
+        self.interrupt_at = *interrupt_at;
+        self.instructions = *instructions;
+        self.stalls.clone_from(stalls);
+        self.drain_cycles = *drain_cycles;
+        self.ir_pc = *ir_pc;
+        self.ir_index = *ir_index;
+        self.violations.clone_from(violations);
+        self.trace_log.clone_from(trace_log);
+        self.trace_events.clone_from(trace_events);
+        self.decoded.clone_from(decoded);
+        self.text_base = *text_base;
+        self.predecode_enabled = *predecode_enabled;
+        self.xlate.clone_from(xlate);
+        self.cpu_waiting = *cpu_waiting;
+        self.last_progress = *last_progress;
     }
 
     /// Copies out the software-visible architectural state (see

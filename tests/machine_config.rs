@@ -14,13 +14,16 @@
 //!    the knobs move performance in the physically sensible direction
 //!    (slower FPU ⇒ no faster warm loops; costlier misses ⇒ no faster
 //!    cold loops; more lanes ⇒ no slower warm loops).
+//!
+//! Parsing is held to a third rule: `?config=` arrives from untrusted
+//! service clients, so `MachineConfig::parse` never panics.
 
 use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
 use multititan::kernels::harness::run_kernel_with;
 use multititan::kernels::livermore;
-use multititan::sim::{Backend, Machine, MachineConfig, Program, RunStats, SimConfig};
+use multititan::sim::{Backend, Machine, MachineConfig, Program, RunStats, SimConfig, KNOB_NAMES};
 use proptest::prelude::*;
 
 const DATA_BASE: i32 = 0x2000;
@@ -353,5 +356,79 @@ fn corpus_knobs_are_monotone() {
             fpu.warm.cycles,
             reference.warm.cycles
         );
+    }
+}
+
+/// One comma-separated piece of a `?config=` string: well-formed knobs
+/// with extreme values, known names with garbage values, and raw noise.
+fn arb_config_part() -> impl Strategy<Value = String> {
+    let knob = 0usize..KNOB_NAMES.len();
+    prop_oneof![
+        3 => (knob.clone(), any::<u64>()).prop_map(|(k, v)| format!("{}={v}", KNOB_NAMES[k])),
+        1 => (knob.clone(), 0u32..=64).prop_map(|(k, e)| {
+            format!("{}={}", KNOB_NAMES[k], 1u128 << e)
+        }),
+        1 => (knob, "\\PC{0,12}").prop_map(|(k, v)| format!("{}={v}", KNOB_NAMES[k])),
+        1 => "\\PC{0,24}",
+        1 => prop_oneof![
+            Just(String::new()),
+            Just("=".to_string()),
+            Just(" fpu_lanes = 2 ".to_string()),
+            Just("fpu_lanes=-1".to_string()),
+            Just("fpu_lanes==2".to_string()),
+            Just("dcache_line=0".to_string()),
+            Just("dcache_ways=0".to_string()),
+            Just("memory_bytes=18446744073709551616".to_string()),
+        ],
+    ]
+}
+
+/// A byte-level edit of a config string: `(position, kind, char)`.
+fn arb_mutation() -> impl Strategy<Value = (usize, u8, char)> {
+    (
+        any::<usize>(),
+        0u8..3,
+        prop_oneof![
+            Just(','),
+            Just('='),
+            Just('0'),
+            Just('9'),
+            Just('_'),
+            Just(' '),
+            Just('-'),
+            Just('é'),
+        ],
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// `?config=` is untrusted service input: `MachineConfig::parse`
+    /// never panics on random or mutated strings, whatever it accepts
+    /// validates, and an accepted config survives its own canonical
+    /// serialization.
+    #[test]
+    fn config_parse_never_panics(
+        parts in prop::collection::vec(arb_config_part(), 0..8),
+        mutations in prop::collection::vec(arb_mutation(), 0..4),
+    ) {
+        let mut spec: Vec<char> = parts.join(",").chars().collect();
+        for (pos, kind, c) in mutations {
+            let at = pos % (spec.len() + 1);
+            match kind {
+                0 => spec.insert(at, c),
+                1 if at < spec.len() => spec[at] = c,
+                _ if at < spec.len() => {
+                    spec.remove(at);
+                }
+                _ => {}
+            }
+        }
+        let spec: String = spec.into_iter().collect();
+        if let Ok(config) = MachineConfig::parse(&spec) {
+            prop_assert_eq!(config.validate(), Ok(()));
+            prop_assert_eq!(MachineConfig::parse(&config.key_material()), Ok(config));
+        }
     }
 }

@@ -11,11 +11,16 @@
 //!    snapshot produce identical `RunStats` and identical final state;
 //! 3. the whole round-trip holds over random programs covering every
 //!    wait class (cold fetches, cache freezes, port conflicts,
-//!    interlocks, IR-busy vectors, branch bubbles).
+//!    interlocks, IR-busy vectors, branch bubbles);
+//! 4. restore rewinds memory exactly, however the machine was disturbed
+//!    since: stores anywhere (past the snapshot's backing, across page
+//!    boundaries, into the text), a different snapshot, a recycled
+//!    machine, or a clone.
 
 use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
-use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
+use multititan::isa::{FReg, FpuAluInstr, IReg, Instr, DEFAULT_TEXT_BASE};
+use multititan::mem::Memory;
 use multititan::sim::{ArchState, Machine, Program, SimConfig};
 use multititan::trace::TraceEvent;
 use proptest::prelude::*;
@@ -23,18 +28,24 @@ use proptest::prelude::*;
 /// Base address of the data area the random loads/stores hit.
 const DATA_BASE: i32 = 0x2000;
 
-/// Everything cumulative a run leaves behind: the architectural state
-/// plus the machine-lifetime FPU counters (cycle-exact equality of the
-/// split run's counters implies each leg accounted identically).
+/// Bytes of main memory on the default machine.
+const MEM_BYTES: u32 = 4 * 1024 * 1024;
+
+/// Everything cumulative a run leaves behind: the architectural state,
+/// main memory, and the machine-lifetime FPU counters (cycle-exact
+/// equality of the split run's counters implies each leg accounted
+/// identically).
 #[derive(Debug, PartialEq)]
 struct Final {
     arch: ArchState,
+    mem: Memory,
     fpu_stats: String,
 }
 
 fn observe(m: &Machine) -> Final {
     Final {
         arch: m.arch_state(),
+        mem: m.mem.memory.clone(),
         fpu_stats: format!("{:?}", m.fpu.stats()),
     }
 }
@@ -136,6 +147,48 @@ fn arb_regs() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec((-1.0e3f64..1.0e3).prop_map(|v| v.to_bits()), 52)
 }
 
+/// One word poked straight into memory: `(address, value)`.
+fn arb_store() -> impl Strategy<Value = (u32, u32)> {
+    let addr = prop_oneof![
+        // Anywhere, mostly far past the snapshot's backing extent.
+        (0u32..MEM_BYTES / 4).prop_map(|w| 4 * w),
+        // The last or first word of a 4 KiB page.
+        (1u32..MEM_BYTES / 4096, any::<bool>()).prop_map(|(p, last)| 4096 * p - 4 * last as u32),
+        // The text segment and the words just past its end.
+        (0u32..64).prop_map(|w| DEFAULT_TEXT_BASE + 4 * w),
+        // The data window the programs load and store.
+        (0u32..64).prop_map(|w| DATA_BASE as u32 + 4 * w),
+    ];
+    (addr, any::<u32>())
+}
+
+/// What happens to the machine between two restores.
+#[derive(Debug, Clone)]
+struct Round {
+    /// Which of the two snapshots to restore.
+    target: usize,
+    stores: Vec<(u32, u32)>,
+    /// Recycle the machine for an unrelated job after the stores.
+    new_job: bool,
+    /// Restore into a clone of the machine instead of the machine.
+    clone: bool,
+}
+
+fn arb_round() -> impl Strategy<Value = Round> {
+    (
+        0usize..2,
+        prop::collection::vec(arb_store(), 0..24),
+        prop_oneof![6 => Just(false), 1 => Just(true)],
+        any::<bool>(),
+    )
+        .prop_map(|(target, stores, new_job, clone)| Round {
+            target,
+            stores,
+            new_job,
+            clone,
+        })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -201,6 +254,53 @@ proptest! {
                 prop_assert_eq!(observe(&m), reference);
                 prop_assert_eq!(events, whole_events);
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Restore rewinds memory exactly. Two snapshots — at a pause point
+    /// and after the program halted, so their memories differ by the
+    /// program's stores — are restored in random order; before each
+    /// restore the machine runs (simulated stores), takes random word
+    /// pokes, and is sometimes recycled for a new job or cloned. After
+    /// every restore the machine equals the machine that took the
+    /// snapshot, memory included, and resumes identically.
+    #[test]
+    fn restore_rewinds_memory_exactly(
+        instrs in arb_program(),
+        regs in arb_regs(),
+        quarter in 0u64..4,
+        ff in any::<bool>(),
+        rounds in prop::collection::vec(arb_round(), 1..8),
+    ) {
+        let mut m = fresh(&instrs, &regs, ff);
+        let cycles = m.clone().run().unwrap().cycles;
+        let _ = m.run_until(cycles * quarter / 4).unwrap();
+        let paused = (m.clone(), m.snapshot());
+        m.run().unwrap();
+        let halted = (m.clone(), m.snapshot());
+        let checkpoints = [paused, halted];
+        for round in &rounds {
+            let _ = m.run();
+            for &(addr, value) in &round.stores {
+                m.mem.memory.write_u32(addr, value);
+            }
+            if round.new_job {
+                m.reset_for_new_job(SimConfig::default());
+                m.mem.memory.write_u32(DATA_BASE as u32, 1);
+            }
+            if round.clone {
+                m = m.clone();
+            }
+            let (reference, snap) = &checkpoints[round.target];
+            m.restore(snap);
+            prop_assert_eq!(observe(&m), observe(reference));
+            let (mut resumed, mut expected) = (m.clone(), reference.clone());
+            prop_assert_eq!(resumed.run(), expected.run());
+            prop_assert_eq!(observe(&resumed), observe(&expected));
         }
     }
 }
