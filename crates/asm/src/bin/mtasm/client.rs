@@ -35,19 +35,8 @@ use std::net::TcpStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use mt_obs::HdrHistogram;
+use mt_obs::{fnv1a64, HdrHistogram};
 use mt_trace::Json;
-
-/// FNV-1a 64 (private copy: `mtasm` cannot depend on `mt-serve`, which
-/// depends on this crate).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 struct ClientOptions {
     url: String,

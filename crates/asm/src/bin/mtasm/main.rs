@@ -7,7 +7,7 @@
 //! mtasm lint <file.s> [--base <hex>]           static analysis only
 //! mtasm run  <file.s> [--base <hex>] [--lint] [--trace] [--timeline]
 //!            [--cold] [--profile] [--top <n>] [--trace-out <file.json>]
-//!            [--backend tick|xlate] [--config knob=value,...]
+//!            [--config knob=value,...]
 //!                                              assemble and simulate to halt
 //! mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>]
 //!            [--trace-out <file.json>]         simulate; hot-spot report
@@ -97,12 +97,12 @@ use mt_fault::{run_program_campaign, CampaignConfig};
 use mt_isa::Instr;
 use mt_lint::cfg::ProgramView;
 use mt_lint::{lint_program_with, LintOptions, Severity};
-use mt_sim::{Backend, Machine, MachineConfig, Program, SimConfig, Timeline};
+use mt_sim::{trace_lines, Machine, MachineConfig, Program, SimConfig, Timeline};
 use mt_trace::{chrome, Json, Profiler, TraceEvent};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mtasm asm <file.s> [--base <hex>] [--lint] [--plain]\n       mtasm dis <file.hex> [--base <hex>]\n       mtasm lint <file.s> [--base <hex>] [--plain]\n       mtasm mca <file.s> [--base <hex>] [--lint] [--json] [--config knob=value,...]\n       mtasm run <file.s> [--base <hex>] [--lint] [--trace] [--timeline] [--cold]\n                 [--profile] [--mca] [--top <n>] [--trace-out <file.json>]\n                 [--backend tick|xlate] [--config knob=value,...]\n       mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>] [--mca]\n                 [--trace-out <file.json>]\n       mtasm fault <file.s> [--base <hex>] [--seed <n>] [--injections <n>] [--json]\n       mtasm client <file.s> [--url http://host:port] [--endpoint run|assemble]\n                 [--concurrency <n>] [--requests <m>] [--lint] [--profile] [--trace]\n                 [--cold] [--base <hex>] [--cycles <n>] [--watchdog <n>] [--deadline-ms <n>]\n                 [--print-body] [--config knob=value,...] [--config-axis knob=v1,v2]...\n       mtasm chaos [--url http://host:port] [--seed <n>] [--scenarios <n>] [--hooks]\n                 [--slow-wait-ms <n>] [--json]"
+        "usage: mtasm asm <file.s> [--base <hex>] [--lint] [--plain]\n       mtasm dis <file.hex> [--base <hex>]\n       mtasm lint <file.s> [--base <hex>] [--plain]\n       mtasm mca <file.s> [--base <hex>] [--lint] [--json] [--config knob=value,...]\n       mtasm run <file.s> [--base <hex>] [--lint] [--trace] [--timeline] [--cold]\n                 [--profile] [--mca] [--top <n>] [--trace-out <file.json>]\n                 [--config knob=value,...]\n       mtasm profile <file.s> [--base <hex>] [--lint] [--cold] [--top <n>] [--mca]\n                 [--trace-out <file.json>]\n       mtasm fault <file.s> [--base <hex>] [--seed <n>] [--injections <n>] [--json]\n       mtasm client <file.s> [--url http://host:port] [--endpoint run|assemble]\n                 [--concurrency <n>] [--requests <m>] [--lint] [--profile] [--trace]\n                 [--cold] [--base <hex>] [--cycles <n>] [--watchdog <n>] [--deadline-ms <n>]\n                 [--print-body] [--config knob=value,...] [--config-axis knob=v1,v2]...\n       mtasm chaos [--url http://host:port] [--seed <n>] [--scenarios <n>] [--hooks]\n                 [--slow-wait-ms <n>] [--json]"
     );
     ExitCode::from(2)
 }
@@ -122,7 +122,6 @@ struct Options {
     injections: usize,
     json: bool,
     mca: bool,
-    backend: Backend,
     config: MachineConfig,
 }
 
@@ -141,7 +140,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut injections = 200;
     let mut json = false;
     let mut mca = false;
-    let mut backend = Backend::default();
     let mut config = MachineConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -179,10 +177,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--json" => json = true,
             "--mca" => mca = true,
-            "--backend" => {
-                let v = it.next().ok_or("--backend needs tick|xlate")?;
-                backend = v.parse()?;
-            }
             "--config" => {
                 let v = it.next().ok_or("--config needs `knob=value,...`")?;
                 config = MachineConfig::parse(v).map_err(|e| format!("bad --config: {e}"))?;
@@ -208,7 +202,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         injections,
         json,
         mca,
-        backend,
         config,
     })
 }
@@ -219,7 +212,6 @@ fn fault_campaign(src: &str, opts: &Options) -> Result<(), String> {
     let cfg = CampaignConfig {
         seed: opts.seed,
         injections: opts.injections,
-        backend: opts.backend,
         ..CampaignConfig::default()
     };
     let result = run_program_campaign(&program, &opts.path, &cfg)?;
@@ -337,8 +329,6 @@ fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), Str
     let profile = force_profile || opts.profile;
     let recording = opts.trace || opts.timeline || profile || opts.mca || opts.trace_out.is_some();
     let mut m = Machine::new(SimConfig {
-        trace: opts.trace,
-        backend: opts.backend,
         machine: opts.config,
         ..SimConfig::default()
     });
@@ -355,7 +345,7 @@ fn run_program(src: &str, opts: &Options, force_profile: bool) -> Result<(), Str
     .map_err(|e| e.to_string())?;
 
     if opts.trace {
-        for line in m.trace_log() {
+        for line in trace_lines(&events) {
             println!("{line}");
         }
     }

@@ -100,31 +100,38 @@ proptest! {
     /// The whole simulator survives *executing* arbitrary words: any
     /// 32-bit soup loaded as text must end in a typed result (`Ok`,
     /// `BadInstruction`, `MemoryFault`, `CycleLimit`, `Watchdog`) —
-    /// never a panic — under both tick and fast-forward execution, with
-    /// arbitrary register contents steering wild loads, stores, and
-    /// jumps. This is the no-panic hardening contract the fault
-    /// campaign's crash classification rests on.
+    /// never a panic — with arbitrary register contents steering wild
+    /// loads, stores, and jumps. This is the no-panic hardening contract
+    /// the fault campaign's crash classification rests on. The hopped
+    /// run (no sink) and the stepped run (recording sink) must end
+    /// identically: same result, same cycle, same architectural state.
     #[test]
     fn machine_survives_arbitrary_text(
         words in prop::collection::vec(any::<u32>(), 1..64),
         regs in prop::collection::vec(any::<i32>(), 31),
-        ff in any::<bool>(),
     ) {
         let program = mt_sim::Program {
             words,
             base: 0x1_0000,
             segments: Vec::new(),
         };
-        let mut m = mt_sim::Machine::new(mt_sim::SimConfig {
-            max_cycles: 20_000,
-            watchdog_cycles: 2_000,
-            fast_forward: ff,
-            ..mt_sim::SimConfig::default()
-        });
-        m.load_program(&program);
-        for (i, &v) in regs.iter().enumerate() {
-            m.set_ireg(mt_isa::IReg::new(i as u8 + 1), v);
-        }
-        let _ = m.run();
+        let run = |stepped: bool| {
+            let mut m = mt_sim::Machine::new(mt_sim::SimConfig {
+                max_cycles: 20_000,
+                watchdog_cycles: 2_000,
+                ..mt_sim::SimConfig::default()
+            });
+            m.load_program(&program);
+            for (i, &v) in regs.iter().enumerate() {
+                m.set_ireg(mt_isa::IReg::new(i as u8 + 1), v);
+            }
+            let outcome = if stepped {
+                m.run_with_sink(&mut Vec::new())
+            } else {
+                m.run()
+            };
+            (outcome, m.snapshot().cycle(), m.arch_state())
+        };
+        prop_assert_eq!(run(false), run(true));
     }
 }

@@ -10,23 +10,7 @@ use mt_baseline::published::{
     harmonic_mean, PUBLISHED_HARMONIC_13_24, PUBLISHED_HARMONIC_1_12, PUBLISHED_HARMONIC_1_24,
     PUBLISHED_LIVERMORE,
 };
-use mt_bench::{f1, livermore_mflops_with, row};
-use mt_sim::Backend;
-
-/// `--backend tick|xlate` (default `xlate`: both backends produce
-/// bit-identical reports, so the flag only picks how fast the simulator
-/// itself runs — and the committed `sim_throughput` numbers are measured
-/// over the translated backend).
-fn backend_arg() -> Backend {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--backend" {
-            let v = args.next().unwrap_or_default();
-            return v.parse().unwrap_or_else(|e| panic!("{e}"));
-        }
-    }
-    Backend::Xlate
-}
+use mt_bench::{f1, livermore_mflops, row};
 
 fn main() {
     if std::env::args().any(|a| a == "--json") {
@@ -73,7 +57,7 @@ fn main() {
         )
     );
 
-    let measured = livermore_mflops_with(backend_arg());
+    let measured = livermore_mflops();
     let mut cold = Vec::new();
     let mut warm = Vec::new();
     for ((n, c, w), pubrow) in measured.iter().zip(PUBLISHED_LIVERMORE.iter()) {
@@ -124,14 +108,14 @@ fn main() {
 /// (simulated in parallel; results collected in loop order), plus a
 /// `harmonic_mean_mflops` section matching the printed table's summary
 /// rows and a `sim_throughput` section recording how fast the simulator
-/// itself ran (over the backend picked by `--backend`, default `xlate`).
+/// itself ran.
 /// Every field except `cycles_per_second` is byte-stable; `./ci` compares
 /// the regenerated document against `BENCH_sim.json` with
 /// `repro-benchdiff`, holding `cycles_per_second` to a relative band and
 /// everything else exact.
 fn json_report() {
     let wall = std::time::Instant::now();
-    let reports = mt_bench::livermore_reports_with(backend_arg());
+    let reports = mt_bench::livermore_reports();
     let elapsed = wall.elapsed();
     let simulated: u64 = reports.iter().map(|r| r.cold.cycles + r.warm.cycles).sum();
     let mut doc = mt_bench::json::bench_json("livermore", &reports);

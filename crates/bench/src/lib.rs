@@ -16,7 +16,7 @@ pub mod json;
 pub use mt_dse::sweep;
 
 use mt_kernels::{harness, livermore, Kernel, KernelReport};
-use mt_sim::{Backend, SimConfig};
+use mt_sim::SimConfig;
 
 /// Runs one kernel under the default configuration, panicking with context
 /// on any failure (benches want loud failures).
@@ -32,44 +32,19 @@ pub fn run_with(kernel: &Kernel, config: SimConfig) -> KernelReport {
 /// Measured cold/warm MFLOPS for all 24 Livermore loops, in order
 /// (simulated in parallel across cores; results are deterministic).
 pub fn livermore_mflops() -> Vec<(u8, f64, f64)> {
-    livermore_mflops_with(Backend::default())
-}
-
-/// [`livermore_mflops`] under an explicit execution backend. Both backends
-/// produce bit-identical reports; the choice only affects how fast the
-/// simulation itself runs.
-pub fn livermore_mflops_with(backend: Backend) -> Vec<(u8, f64, f64)> {
-    let loops: Vec<u8> = (1..=24).collect();
-    let config = SimConfig {
-        backend,
-        ..SimConfig::default()
-    };
-    sweep::sweep(&loops, |&n| {
-        let report = run_with(&livermore::by_number(n), config.clone());
-        (n, report.mflops_cold(), report.mflops_warm())
-    })
+    livermore_reports()
+        .iter()
+        .zip(1..)
+        .map(|(r, n)| (n, r.mflops_cold(), r.mflops_warm()))
+        .collect()
 }
 
 /// All 24 Livermore loop reports under the default configuration,
 /// simulated in parallel (deterministic input order, as [`sweep::sweep`]
 /// guarantees — `BENCH_sim.json` is built from this).
 pub fn livermore_reports() -> Vec<KernelReport> {
-    livermore_reports_with(Backend::default())
-}
-
-/// [`livermore_reports`] under an explicit execution backend. The reports
-/// are bit-identical across backends (the equivalence tests prove it);
-/// `BENCH_sim.json`'s `sim_throughput` section is measured over the
-/// translated backend because that is the speed that matters in practice.
-pub fn livermore_reports_with(backend: Backend) -> Vec<KernelReport> {
     let loops: Vec<u8> = (1..=24).collect();
-    let config = SimConfig {
-        backend,
-        ..SimConfig::default()
-    };
-    sweep::sweep(&loops, |&n| {
-        run_with(&livermore::by_number(n), config.clone())
-    })
+    sweep::sweep(&loops, |&n| run(&livermore::by_number(n)))
 }
 
 /// Formats one row of a fixed-width table.

@@ -410,9 +410,8 @@ impl Fpu {
     }
 
     /// The earliest cycle at which an in-flight write will retire, if any —
-    /// the FPU-side event horizon the simulator's quiescent fast-forward
-    /// must not jump past (retirement order and PSW accumulation depend on
-    /// [`Fpu::begin_cycle`] running at exactly that cycle).
+    /// the FPU-side event horizon the simulator's hop over a wait must not
+    /// jump past when a retirement can end the wait.
     #[inline]
     pub fn next_retire_at(&self) -> Option<u64> {
         self.pipeline.next_ready_at()
@@ -421,7 +420,7 @@ impl Fpu {
     /// Whether the IR's current element would be scoreboard-blocked if it
     /// tried to issue this cycle; `None` when the IR is empty. A
     /// side-effect-free probe of exactly the interlock [`Fpu::issue`]
-    /// applies — the simulator's quiescent fast-forward uses it to decide
+    /// applies — the simulator's hops over waits use it to decide
     /// whether the issue stage pins the simulation to per-cycle stepping.
     #[inline]
     pub fn issue_blocked(&self) -> Option<bool> {
@@ -435,9 +434,9 @@ impl Fpu {
         )
     }
 
-    /// Adds `n` synthesized scoreboard-stall cycles: the quiescent
-    /// fast-forward's accounting for skipped cycles in which the IR would
-    /// have retried its blocked element and stalled again. The reservations
+    /// Adds `n` synthesized scoreboard-stall cycles: the simulator's
+    /// accounting for hopped cycles in which the IR would have retried
+    /// its blocked element and stalled again. The reservations
     /// that block it clear only at a retirement, so the caller must have
     /// clamped the skipped span to [`Fpu::next_retire_at`].
     #[inline]

@@ -30,7 +30,7 @@
 use std::fmt;
 
 use mt_core::Psw;
-use mt_sim::{Backend, Machine, Program, RunError, SimConfig, Snapshot};
+use mt_sim::{Machine, Program, RunError, SimConfig, Snapshot};
 use mt_trace::{Json, MetricsRegistry};
 
 use crate::inject::apply;
@@ -84,12 +84,6 @@ pub struct CampaignConfig {
     pub max_cycles: u64,
     /// No-progress watchdog threshold for injected runs (cycles).
     pub watchdog_cycles: u64,
-    /// Execution backend for golden and injected runs. Campaign
-    /// capacity scales with simulator throughput, so the default is the
-    /// block-translated backend; outcomes are bit-identical either way
-    /// (a text-region flip bumps the write watch, which drops the
-    /// translated block before the next fetch).
-    pub backend: Backend,
 }
 
 impl Default for CampaignConfig {
@@ -99,20 +93,17 @@ impl Default for CampaignConfig {
             injections: 500,
             max_cycles: 200_000,
             watchdog_cycles: 20_000,
-            backend: Backend::Xlate,
         }
     }
 }
 
 impl CampaignConfig {
     /// The simulator configuration injected runs execute under: the
-    /// campaign's cycle limit, watchdog, and backend on top of the
-    /// defaults.
+    /// campaign's cycle limit and watchdog on top of the defaults.
     pub fn sim_config(&self) -> SimConfig {
         SimConfig {
             max_cycles: self.max_cycles,
             watchdog_cycles: self.watchdog_cycles,
-            backend: self.backend,
             ..SimConfig::default()
         }
     }
@@ -531,35 +522,6 @@ mod tests {
         let b = run_program_campaign(&prog, "vec", &small_cfg(40)).unwrap();
         assert_eq!(a.to_json().pretty(), b.to_json().pretty());
         assert_eq!(a.counts, b.counts);
-    }
-
-    /// The campaign's outcome is a function of the seed alone, not of the
-    /// execution backend: the translated engine pauses at the same
-    /// injection cycles with the same architectural and in-flight state,
-    /// so every injection classifies identically. This is what makes the
-    /// committed BENCH_fault.json byte-stable across the backend default.
-    #[test]
-    fn campaign_is_backend_invariant() {
-        let prog = vector_program();
-        let tick = run_program_campaign(
-            &prog,
-            "vec",
-            &CampaignConfig {
-                backend: mt_sim::Backend::Tick,
-                ..small_cfg(60)
-            },
-        )
-        .unwrap();
-        let xlate = run_program_campaign(
-            &prog,
-            "vec",
-            &CampaignConfig {
-                backend: mt_sim::Backend::Xlate,
-                ..small_cfg(60)
-            },
-        )
-        .unwrap();
-        assert_eq!(tick.to_json().pretty(), xlate.to_json().pretty());
     }
 
     /// A long-lived caller reuses its prepared workloads: a second

@@ -62,9 +62,9 @@ pub fn apply(m: &mut Machine, target: &FaultTarget) {
         }
         FaultTarget::MemoryWord { addr, bit } => {
             let word = m.mem.memory.read_u32(addr);
-            // A plain memory write also bumps the write watch, which
-            // correctly stops the predecoded text table from masking a
-            // text-region flip.
+            // A plain memory write also bumps the write watch, so a
+            // text-region flip is fetched from memory, not from the
+            // translated table.
             m.mem.memory.write_u32(addr, word ^ (1 << (bit % 32)));
         }
     }

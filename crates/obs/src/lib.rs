@@ -21,17 +21,20 @@
 //!   (req/s, error rate, 429 rate) with deterministic, injectable time.
 //! * [`prom`] — Prometheus text-format exposition (counters, gauges,
 //!   histogram-backed summaries) plus a grammar validator for CI.
+//! * [`hash`] — FNV-1a 64, the repository's one content hash.
 //! * [`benchdiff`] — per-metric-tolerance diffing of committed
 //!   `mt-*-v1` BENCH documents; `repro-benchdiff` turns it into the
 //!   regression gate `./ci` runs on every PR.
 
 pub mod benchdiff;
+pub mod hash;
 pub mod hdr;
 pub mod prom;
 pub mod span;
 pub mod window;
 
 pub use benchdiff::{diff, Finding, Rule, Tolerance};
+pub use hash::fnv1a64;
 pub use hdr::HdrHistogram;
 pub use prom::PromText;
 pub use span::{Span, SpanSet};

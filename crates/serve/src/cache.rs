@@ -11,16 +11,8 @@
 
 use std::collections::HashMap;
 
-/// FNV-1a 64-bit — the repo's standard content hash (no dependencies,
-/// stable across platforms).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+/// The cache's key hash, re-exported from `mt-obs` where it lives.
+pub use mt_obs::fnv1a64;
 
 /// One cached response.
 #[derive(Debug, Clone)]
@@ -130,13 +122,6 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv_matches_reference_vectors() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn hit_replays_the_stored_response() {

@@ -14,7 +14,7 @@ use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
 use mt_dse::runner::{CellResult, CellSpec};
 use mt_lint::{lint_program_with, LintOptions, Severity};
 use mt_sim::json::stats_json;
-use mt_sim::{Backend, Machine, MachineConfig, Program, RunError, SimConfig};
+use mt_sim::{trace_lines, Machine, MachineConfig, Program, RunError, SimConfig};
 use mt_trace::{Json, Profiler, TraceEvent};
 
 /// Virtual file name diagnostics carry (request bodies never live on
@@ -77,11 +77,6 @@ pub struct RunOptions {
     pub max_cycles: u64,
     /// Per-job no-progress watchdog (0 = off).
     pub watchdog: u64,
-    /// Execution backend. The service defaults to the block-translated
-    /// backend (throughput); `?backend=tick` forces the reference
-    /// interpreter. Both produce bit-identical responses, so this knob
-    /// is deliberately *not* cache-key material.
-    pub backend: Backend,
     /// The simulated microarchitecture (`?config=knob=v,...` and the
     /// `?lanes=` shorthand). Changes the response body, so its full
     /// canonical serialization IS cache-key material — a `lanes=2` run
@@ -102,7 +97,6 @@ impl Default for RunOptions {
             trace: false,
             max_cycles: 0,
             watchdog: 0,
-            backend: Backend::Xlate,
             machine: MachineConfig::default(),
             serialized: false,
         }
@@ -114,14 +108,12 @@ impl RunOptions {
     pub fn sim_config(&self) -> SimConfig {
         let default = SimConfig::default();
         SimConfig {
-            trace: self.trace,
             max_cycles: if self.max_cycles == 0 {
                 default.max_cycles
             } else {
                 self.max_cycles
             },
             watchdog_cycles: self.watchdog,
-            backend: self.backend,
             machine: self.machine,
             serialized_issue: self.serialized,
             ..default
@@ -144,10 +136,7 @@ impl JobRequest {
     /// Canonical cache-key material: every response-relevant input,
     /// nothing else. Any field that can change the body must appear here
     /// (`tests` assert sensitivity), and nothing request-incidental
-    /// (client id, connection) may. [`RunOptions::backend`] is excluded
-    /// on purpose: the backends are bit-identical (the equivalence suite
-    /// proves it), so a result computed under either one may be replayed
-    /// for both.
+    /// (client id, connection) may.
     pub fn key_material(&self) -> String {
         let o = &self.options;
         format!(
@@ -509,7 +498,7 @@ pub fn execute_controlled(
         doc.push("profile", profile_json(&events));
     }
     if job.options.trace {
-        let log = machine.trace_log();
+        let log = trace_lines(&events);
         let lines: Vec<Json> = log
             .iter()
             .take(TRACE_MAX_LINES)
@@ -570,10 +559,7 @@ fn execute_kernel_cell(job: &JobRequest, control: &JobControl) -> (JobResult, Jo
     }
 
     let cell = CellSpec::new(String::new(), job.options.machine, job.options.serialized);
-    let config = SimConfig {
-        backend: job.options.backend,
-        ..cell.config()
-    };
+    let config = cell.config();
     let sim_start = Instant::now();
     let mut reports = Vec::with_capacity(loops.len());
     for &n in &loops {
@@ -1048,44 +1034,5 @@ halt
             timing.sim.is_none(),
             "shed jobs must not reach the simulator"
         );
-    }
-
-    /// The backend knob must NOT reach the cache key: both backends
-    /// produce bit-identical bodies, so a cached result serves either.
-    #[test]
-    fn key_material_ignores_backend() {
-        let base = JobRequest {
-            endpoint: Endpoint::Run,
-            source: FIB.to_string(),
-            options: RunOptions::default(),
-        };
-        let mut tick = base.clone();
-        tick.options.backend = Backend::Tick;
-        let mut xlate = base.clone();
-        xlate.options.backend = Backend::Xlate;
-        assert_eq!(tick.key_material(), xlate.key_material());
-    }
-
-    /// Same job, both backends: byte-identical response documents (the
-    /// service-level face of the equivalence suite, and what makes
-    /// excluding the backend from the cache key sound).
-    #[test]
-    fn backends_produce_identical_responses() {
-        for options in [
-            RunOptions::default(),
-            RunOptions {
-                cold: true,
-                ..RunOptions::default()
-            },
-        ] {
-            let mut tick_opts = options.clone();
-            tick_opts.backend = Backend::Tick;
-            let mut xlate_opts = options;
-            xlate_opts.backend = Backend::Xlate;
-            let tick = run_job(FIB, tick_opts.clone());
-            let xlate = run_job(FIB, xlate_opts);
-            assert_eq!(tick.status, xlate.status);
-            assert_eq!(tick.body, xlate.body, "backend leaked into the body");
-        }
     }
 }

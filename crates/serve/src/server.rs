@@ -963,9 +963,6 @@ fn parse_options(request: &Request) -> Result<RunOptions, String> {
     if let Some(v) = request.query_get("watchdog") {
         options.watchdog = v.parse().map_err(|e| format!("bad watchdog `{v}`: {e}"))?;
     }
-    if let Some(v) = request.query_get("backend") {
-        options.backend = v.parse().map_err(|e| format!("bad backend: {e}"))?;
-    }
     // `?config=knob=v,knob=v` replaces the whole machine (validated as a
     // unit); `?lanes=` is a shorthand for the most-swept knob and may
     // refine a `?config=`. Both land in the cache key via the machine's

@@ -547,27 +547,3 @@ fn worker_panic_does_not_poison_the_result_cache() {
     assert_eq!(counters.get("cache_poisoned").unwrap().as_f64(), Some(2.0));
     handle.shutdown();
 }
-
-/// `?backend=` picks the execution backend; both backends produce
-/// byte-identical bodies, so they deliberately share cache entries.
-#[test]
-fn backend_knob_is_parsed_and_shares_the_cache() {
-    let handle = serve(ServerConfig {
-        workers: 1,
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let addr = handle.addr().to_string();
-
-    let xlate = post(&addr, "/run?backend=xlate", "b", DAXPY);
-    assert_eq!((xlate.status, xlate.cache.as_deref()), (200, Some("miss")));
-    let tick = post(&addr, "/run?backend=tick", "b", DAXPY);
-    assert_eq!(
-        (tick.status, tick.cache.as_deref()),
-        (200, Some("hit")),
-        "bit-identical backends share the result cache"
-    );
-    assert_eq!(tick.body, xlate.body);
-    assert_eq!(post(&addr, "/run?backend=bogus", "b", DAXPY).status, 400);
-    handle.shutdown();
-}

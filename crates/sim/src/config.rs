@@ -21,7 +21,7 @@
 //!   ([`MachineConfig::reg_file_bits`]).
 //!
 //! `MachineConfig::default()` is bit-identical to the pre-config machine
-//! on all three backends (`tests/machine_config.rs` proves it with
+//! hopped and stepped (`tests/machine_config.rs` proves it with
 //! proptest and the full kernel corpus).
 
 use mt_isa::cost::IssueTiming;
@@ -301,6 +301,12 @@ fn check_range(name: &str, value: u64, min: u64, max: u64) -> Result<(), String>
     Ok(())
 }
 
+/// Largest capacity any cache knob (`dcache_bytes`, `icache_bytes`,
+/// `ibuffer_bytes`) accepts: 256× the paper's 64 KB caches. Configs
+/// arrive from untrusted service clients, and a cache allocates one line
+/// record per line up front.
+pub const MAX_CACHE_BYTES: u32 = 16 << 20;
+
 fn validate_cache(name: &str, c: &mt_mem::CacheConfig) -> Result<(), String> {
     if !c.line_bytes.is_power_of_two() || c.line_bytes < 4 {
         return Err(format!(
@@ -312,6 +318,12 @@ fn validate_cache(name: &str, c: &mt_mem::CacheConfig) -> Result<(), String> {
         return Err(format!(
             "{name}_bytes = {} must be a nonzero multiple of the {}-byte line",
             c.size_bytes, c.line_bytes
+        ));
+    }
+    if c.size_bytes > MAX_CACHE_BYTES {
+        return Err(format!(
+            "{name}_bytes = {} exceeds the {MAX_CACHE_BYTES}-byte maximum",
+            c.size_bytes
         ));
     }
     if c.ways == 0 || !c.lines().is_multiple_of(c.ways) {
@@ -399,6 +411,16 @@ mod tests {
             MachineConfig::parse("dcache_ways=3").is_err(),
             "ways must divide the line count"
         );
+        assert!(
+            MachineConfig::parse("dcache_bytes=2147483648").is_err(),
+            "a 2 GiB cache is rejected before it allocates a line"
+        );
+        for knob in ["dcache_bytes", "icache_bytes", "ibuffer_bytes"] {
+            let at_max = format!("{knob}={MAX_CACHE_BYTES}");
+            assert!(MachineConfig::parse(&at_max).is_ok(), "{at_max}");
+            let past = format!("{knob}={}", 2 * MAX_CACHE_BYTES);
+            assert!(MachineConfig::parse(&past).is_err(), "{past}");
+        }
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub use config::{MachineConfig, KNOB_NAMES};
 pub use machine::{ArchState, Backend, Machine, RunError, SimConfig, Snapshot};
 pub use mt_isa::{DataSegment, Program, DEFAULT_TEXT_BASE};
 pub use stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
-pub use timeline::Timeline;
+pub use timeline::{trace_lines, Timeline};
 pub use timing::IssueTiming;

@@ -17,50 +17,17 @@ use crate::timeline::Timeline;
 use crate::timing::IssueTiming;
 use mt_isa::Program;
 
-/// Which execution backend [`Machine::run`] drives.
+/// The simulator's execution engine. There is one — the micro-op loop
+/// of DESIGN.md §8 — so this type has a single variant.
 ///
-/// Both backends produce bit-identical results — architectural outcome,
-/// [`RunStats`] including the per-cause stall breakdown, cache statistics,
-/// and [`RunError`] behavior (`tests/hot_loop_equivalence.rs` proves it
-/// over generated programs and the kernel corpus). The translated backend
-/// is simply faster: it runs pre-resolved micro-ops instead of
-/// re-deriving decode and cost metadata every cycle.
+/// Kept only because the frozen benchmark harness (`perfbench/`) names
+/// `Backend::Xlate`; the next change to the benchmark deletes it
+/// together with [`SimConfig::backend`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// The reference cycle interpreter: fetch, decode (through the
-    /// predecoded side table), and guard evaluation per cycle. Always
-    /// used while a trace sink is attached, in checked-ordering mode,
-    /// under the serialized-issue ablation, and for any PC outside the
-    /// translated text (including self-modified text).
+    /// The micro-op engine.
     #[default]
-    Tick,
-    /// Block-translated execution: [`Machine::load_program`] compiles the
-    /// text section's basic blocks into flat micro-ops
-    /// ([`mt_xlate::TranslatedProgram`]) and the run loop executes whole
-    /// spans through them, falling back to the tick interpreter in the
-    /// cases listed above.
     Xlate,
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Backend, String> {
-        match s {
-            "tick" => Ok(Backend::Tick),
-            "xlate" => Ok(Backend::Xlate),
-            other => Err(format!("unknown backend {other:?} (expected tick|xlate)")),
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Backend::Tick => "tick",
-            Backend::Xlate => "xlate",
-        })
-    }
 }
 
 /// Simulator configuration.
@@ -86,17 +53,9 @@ pub struct SimConfig {
     /// cost of "a fair amount of hardware"; provided for the ablation
     /// study.
     pub full_range_interlock: bool,
-    /// Record a per-cycle trace (expensive; debugging only).
+    /// Record every run's event stream in [`Machine::trace_events`]
+    /// (expensive; debugging only). A recorded run steps every cycle.
     pub trace: bool,
-    /// Quiescent fast-forward: when the CPU is provably idle until a known
-    /// future cycle and the FPU has no event before it, jump straight to
-    /// that horizon instead of ticking through the gap. Cycle counts, stall
-    /// accounting, and architectural state are bit-identical either way
-    /// (`tests/hot_loop_equivalence.rs` proves it); the jump is skipped
-    /// automatically while an event sink is attached or
-    /// [`SimConfig::checked_ordering`] is on, so traces and lint replay are
-    /// unchanged. Disable only to measure the tick-by-tick loop itself.
-    pub fast_forward: bool,
     /// No-progress watchdog: abort with [`RunError::Watchdog`] once this
     /// many consecutive cycles elapse in which no CPU instruction completes
     /// and no FPU element or load issues. `0` (the default) disables it.
@@ -104,12 +63,11 @@ pub struct SimConfig {
     /// scoreboard wait that retires within the FPU latency, so any
     /// threshold of 1000+ only trips on genuinely wedged state — a
     /// fault-injected stuck scoreboard bit, corrupted interlock timing —
-    /// that would otherwise spin to [`SimConfig::max_cycles`]. The
-    /// fast-forward path clamps its jumps so tick-by-tick and jumped runs
-    /// report the watchdog at the identical cycle.
+    /// that would otherwise spin to [`SimConfig::max_cycles`]. Hops
+    /// clamp to the watchdog deadline, so stepped and hopped runs report
+    /// it at the identical cycle.
     pub watchdog_cycles: u64,
-    /// Execution backend (see [`Backend`]). Results are bit-identical
-    /// either way; `Backend::Xlate` is the fast path.
+    /// The execution engine; it has one possible value (see [`Backend`]).
     pub backend: Backend,
 }
 
@@ -122,7 +80,6 @@ impl Default for SimConfig {
             serialized_issue: false,
             full_range_interlock: false,
             trace: false,
-            fast_forward: true,
             watchdog_cycles: 0,
             backend: Backend::default(),
         }
@@ -253,41 +210,21 @@ pub struct ArchState {
     pub psw: Psw,
 }
 
-/// Outcome of attempting to execute the pending instruction this cycle.
-enum Exec {
-    /// Completed; `Some(target)` redirects the PC (branch taken / jump).
-    Done(Option<u32>),
-    /// Blocked; retry next cycle (the stall has been accounted).
-    Stall,
-    /// Completed and the machine is halting.
-    Halted,
-}
-
-/// Why [`Machine::xlate_span`] returned control to the outer run loop.
-enum SpanExit {
-    /// The span stopped at a boundary cycle (stop point, interrupt,
-    /// cycle-limit, watchdog deadline) or the program halted: the outer
-    /// loop's checks decide what happens, exactly as after a tick.
-    Boundary,
-    /// The current PC has no micro-op (outside the translated text,
-    /// misaligned, or an undecodable word): the interpreter must take
-    /// over for at least this cycle — it executes or faults identically.
-    Tick,
-    /// A write landed in the watched text range: the translation is
-    /// stale, interpretation takes over for the rest of the run.
-    Disabled,
-}
-
-/// Which CPU stall counter a fast-forwarded span charges per skipped
-/// cycle — the same counter the tick loop would have bumped.
+/// A cycle in which the CPU cannot complete an instruction, by what it
+/// waits for. [`Machine::wait`] steps or hops all four alike.
 #[derive(Clone, Copy)]
-enum FfStall {
-    None,
+enum Wait {
+    /// Data-miss freeze: the CPU and the issue stage are both gated
+    /// until `freeze_until` (the penalty is charged at the miss).
+    Freeze,
+    /// Taken-branch bubble: no fetch before `fetch_ready_at` (the bubble
+    /// is charged at the branch); the issue stage runs.
+    Bubble,
+    /// Fetch penalty elapsing: one fetch stall per cycle.
     Fetch,
-    IrBusy,
-    LsPortBusy,
-    IntLoadHazard,
-    FpuRegHazard,
+    /// A guard holds the fetched instruction: one stall of this cause
+    /// per cycle, each emitted as a one-cycle stall event.
+    Interlock(StallCause),
 }
 
 /// One MultiTitan processor.
@@ -311,6 +248,9 @@ pub struct Machine {
     freeze_until: u64,
     /// Earliest cycle the next fetch may begin (taken-branch bubble).
     fetch_ready_at: u64,
+    /// The fetched instruction waiting to execute (its micro-op is looked
+    /// up again when it executes, see [`Machine::pending_uop`]), and the
+    /// cycle its fetch penalty ends.
     pending: Option<Instr>,
     pending_ready_at: u64,
     halted: bool,
@@ -328,28 +268,12 @@ pub struct Machine {
     ir_pc: u32,
     ir_index: u32,
     violations: Vec<OrderingViolation>,
-    trace_log: Vec<String>,
     trace_events: Vec<TraceEvent>,
-    /// Predecoded text side table, indexed by `(pc - text_base) / 4`: each
-    /// entry pairs the encoded word with its decoding, so a fetch whose
-    /// word still matches skips `Instr::decode`. Self-modifying text is
-    /// caught by the word comparison and falls back to the slow path.
-    decoded: Vec<Option<(u32, Instr)>>,
-    text_base: u32,
-    predecode_enabled: bool,
-    /// The loaded program's text compiled to pre-resolved micro-ops
-    /// (built by [`Machine::load_program`] when
-    /// [`SimConfig::backend`] is [`Backend::Xlate`]) — the PC-indexed
-    /// block cache of the translated backend. `Arc` keeps
-    /// [`Machine::snapshot`]/clone cheap: the table is immutable, so
+    /// The loaded program's text translated to micro-ops, indexed by PC
+    /// (built by [`Machine::load_program`]). `Arc` keeps
+    /// [`Machine::snapshot`] and clone cheap: the table is immutable, so
     /// every checkpoint shares it.
     xlate: Option<Arc<TranslatedProgram>>,
-    /// `true` while the CPU made no progress last cycle — the only state
-    /// in which a fast-forwardable span can be underway, so the run loop
-    /// probes [`Machine::fast_forward`] only then. Purely a probe gate:
-    /// skipping a probe just means stepping a cycle the jump would have
-    /// skipped, never a behavior change.
-    cpu_waiting: bool,
     /// Last cycle at which the machine provably made progress (a CPU
     /// instruction completed or an FPU element/load issued) — the
     /// watchdog's reference point. Always `<= cycle`.
@@ -393,13 +317,8 @@ impl Machine {
             ir_pc: 0,
             ir_index: 0,
             violations: Vec::new(),
-            trace_log: Vec::new(),
             trace_events: Vec::new(),
-            decoded: Vec::new(),
-            text_base: 0,
-            predecode_enabled: true,
             xlate: None,
-            cpu_waiting: true,
             last_progress: 0,
         }
     }
@@ -424,36 +343,19 @@ impl Machine {
         self.pc = program.base;
         self.entry = program.base;
         self.halted = false;
+        // An instruction fetched at the previous PC must not execute at
+        // the new entry.
+        self.pending = None;
         // A freshly loaded program starts with a clear PSW: sticky flags
         // and the §2.3.1 overflow destination are per-program supervisor
         // state, not residue of whatever ran before.
         self.fpu.clear_psw();
-        self.text_base = program.base;
-        self.decoded = if self.predecode_enabled {
-            program.predecode()
-        } else {
-            Vec::new()
-        };
-        self.xlate = if self.config.backend == Backend::Xlate {
-            Some(Arc::new(TranslatedProgram::translate(program)))
-        } else {
-            None
-        };
+        self.xlate = Some(Arc::new(TranslatedProgram::translate(program)));
         // Watch the installed text: while no write has landed on it (by
         // any path, including direct workload pokes at `mem.memory`), a
-        // fetch may trust the predecoded table without re-reading the
-        // word.
+        // fetch may take the translated micro-op without reading the word.
         let text_end = program.base + 4 * program.words.len() as u32;
         self.mem.memory.watch_range(program.base, text_end);
-    }
-
-    /// Disables the predecoded-text side table, forcing `Instr::decode` on
-    /// every dynamic fetch (the pre-PR-3 slow path). Only useful for
-    /// differential testing and for measuring the predecode win; results
-    /// are bit-identical either way.
-    pub fn disable_predecode(&mut self) {
-        self.predecode_enabled = false;
-        self.decoded = Vec::new();
     }
 
     /// Touches every text line through the instruction buffer and cache so
@@ -475,12 +377,6 @@ impl Machine {
         if !r.is_zero() {
             self.iregs[r.index() as usize] = value;
         }
-    }
-
-    /// The collected trace of the most recent run (populated when
-    /// `config.trace` is set; cleared at the start of each run).
-    pub fn trace_log(&self) -> &[String] {
-        &self.trace_log
     }
 
     /// The issue-timing parameters this machine runs with.
@@ -532,7 +428,6 @@ impl Machine {
         self.freeze_until = self.cycle;
         self.fetch_ready_at = self.cycle;
         self.int_ready = [0; 32];
-        self.cpu_waiting = true;
         self.last_progress = self.cycle;
         // An interrupt armed for a cycle the previous run never reached
         // must not ambush the re-run: `interrupt_after` is per-run state.
@@ -585,14 +480,8 @@ impl Machine {
         self.ir_pc = 0;
         self.ir_index = 0;
         self.violations.clear();
-        self.trace_log.clear();
         self.trace_events.clear();
-        self.decoded.clear();
-        self.text_base = 0;
         self.xlate = None;
-        // `predecode_enabled` survives deliberately: it is a measurement
-        // switch of the machine, not state of any job.
-        self.cpu_waiting = true;
         self.last_progress = 0;
     }
 
@@ -600,11 +489,11 @@ impl Machine {
     /// this run (deltas — safe to call repeatedly for warm re-runs).
     ///
     /// With `config.trace` set, every cycle's typed events are recorded in
-    /// the internal buffer ([`Machine::trace_events`]); the buffer and the
-    /// textual [`Machine::trace_log`] hold the *most recent* run only —
-    /// both are cleared at the start of each run, so a long-lived machine
-    /// neither grows without bound nor mixes runs. Otherwise the run loop
-    /// monomorphizes over [`NullSink`] and emission costs nothing.
+    /// the internal buffer ([`Machine::trace_events`]), which holds the
+    /// *most recent* run only — it is cleared at the start of each run, so
+    /// a long-lived machine neither grows without bound nor mixes runs.
+    /// Otherwise the run loop monomorphizes over [`NullSink`], emission
+    /// costs nothing, and waits are hopped instead of stepped.
     ///
     /// # Errors
     ///
@@ -624,11 +513,11 @@ impl Machine {
     }
 
     /// [`Machine::run`] with a cooperative cancellation checkpoint: every
-    /// `check_every` cycles the run pauses (skipping engines clamp their
-    /// jumps to the checkpoint, exactly as they clamp to a
-    /// [`Machine::run_until`] stop point) and asks `cancelled`; a `true`
-    /// answer abandons the run with [`RunError::Cancelled`], leaving the
-    /// machine in the same state a `run_until` pause at that cycle would.
+    /// `check_every` cycles the run pauses (hops clamp to the checkpoint,
+    /// exactly as they clamp to a [`Machine::run_until`] stop point) and
+    /// asks `cancelled`; a `true` answer abandons the run with
+    /// [`RunError::Cancelled`], leaving the machine in the same state a
+    /// `run_until` pause at that cycle would.
     /// A run that is never cancelled is bit-identical to [`Machine::run`]
     /// — same statistics, same trace, same architectural results — because
     /// the checkpoint is a clamp inside one `run_inner` call, not a
@@ -685,11 +574,11 @@ impl Machine {
     /// resuming with [`Machine::run`]. Returns `Ok(None)` when the run
     /// paused at the stop point (resume later; statistics will cover the
     /// remainder as its own delta) and `Ok(Some(stats))` when the program
-    /// halted before reaching it. Fast-forward jumps clamp to the stop
-    /// point, so a paused machine sits at exactly `stop_at` regardless of
-    /// the execution path. Once the CPU halts, the FPU drain runs to
-    /// completion even across `stop_at` — an injection cycle inside the
-    /// drain span classifies as completed-early.
+    /// halted before reaching it. Hops clamp to the stop point, so a
+    /// paused machine sits at exactly `stop_at` whether the run stepped or
+    /// hopped. Once the CPU halts, the FPU drain runs to completion even
+    /// across `stop_at` — an injection cycle inside the drain span
+    /// classifies as completed-early.
     pub fn run_until(&mut self, stop_at: u64) -> Result<Option<RunStats>, RunError> {
         self.run_inner(&mut NullSink, Some(stop_at))
     }
@@ -707,8 +596,7 @@ impl Machine {
     /// PSW, memory) and microarchitectural (in-flight pipeline writes,
     /// scoreboard, cache residency, pending instruction, every timing
     /// horizon, accumulated statistics) — so a later
-    /// [`Machine::restore`] resumes bit-identically, under both
-    /// tick-by-tick and fast-forward execution.
+    /// [`Machine::restore`] resumes bit-identically, stepped or hopped.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
             id: NEXT_SNAPSHOT_ID.fetch_add(1, Ordering::Relaxed),
@@ -755,13 +643,8 @@ impl Machine {
             ir_pc,
             ir_index,
             violations,
-            trace_log,
             trace_events,
-            decoded,
-            text_base,
-            predecode_enabled,
             xlate,
-            cpu_waiting,
             last_progress,
         } = &*snapshot.machine;
         self.fpu.clone_from(fpu);
@@ -786,13 +669,8 @@ impl Machine {
         self.ir_pc = *ir_pc;
         self.ir_index = *ir_index;
         self.violations.clone_from(violations);
-        self.trace_log.clone_from(trace_log);
         self.trace_events.clone_from(trace_events);
-        self.decoded.clone_from(decoded);
-        self.text_base = *text_base;
-        self.predecode_enabled = *predecode_enabled;
         self.xlate.clone_from(xlate);
-        self.cpu_waiting = *cpu_waiting;
         self.last_progress = *last_progress;
     }
 
@@ -833,34 +711,15 @@ impl Machine {
         let dcache0 = self.mem.dcache_stats();
         let icache0 = self.mem.icache_stats();
         let ibuffer0 = self.mem.ibuffer_stats();
-        self.trace_log.clear();
 
-        // Fast-forward must not disturb the event stream (retire events
-        // land on exact cycles) or checked-mode diagnostics, so it arms
-        // only on untraced, unchecked runs.
-        let fast_forward =
-            self.config.fast_forward && !sink.enabled() && !self.config.checked_ordering;
-        // The translated backend has the same observability constraints as
-        // fast-forward (it emits no per-cycle events), plus two of its
-        // own: checked-ordering diagnostics and the serialized-issue
-        // ablation stay on the reference interpreter, whose code paths
-        // they instrument. Ineligible runs execute tick-by-tick and are
-        // bit-identical by construction.
-        let mut use_xlate = self.config.backend == Backend::Xlate
-            && self.xlate.is_some()
-            && !sink.enabled()
-            && !self.config.trace
-            && !self.config.checked_ordering
-            && !self.config.serialized_issue;
-        // First cycle at which the tick loop would report CycleLimit; a
-        // jump may land there but never beyond.
+        // First cycle at which the loop would report CycleLimit; a hop
+        // may land there but never beyond.
         let limit_cycle = start_cycle + self.config.max_cycles + 1;
         let watchdog = self.config.watchdog_cycles;
         // First cycle at which the cancellation closure runs; advanced by
-        // `check_every` after each (negative) answer. Skipping engines
-        // clamp their jumps here the same way they clamp to `stop_at`, so
-        // a checkpoint is reached within one engine dispatch of falling
-        // due no matter how the span executes.
+        // `check_every` after each (negative) answer. Hops clamp to it the
+        // same way they clamp to `stop_at`, so a checkpoint is reached
+        // exactly when it falls due.
         let mut next_check = checkpoint
             .as_ref()
             .map(|(every, _)| start_cycle + (*every).max(1));
@@ -882,15 +741,6 @@ impl Machine {
                     next_check = Some(self.cycle + (*every).max(1));
                 }
             }
-            // The clamp handed to the skipping engines: the real stop
-            // point or the next cancellation checkpoint, whichever is
-            // sooner. Pausing at the checkpoint and re-entering the loop
-            // is exactly the proven run_until pause path, so a run that is
-            // never cancelled stays bit-identical to an unclamped one.
-            let bound = match (stop_at, next_check) {
-                (Some(s), Some(c)) => Some(s.min(c)),
-                (s, c) => s.or(c),
-            };
             if let Some(at) = self.interrupt_at {
                 if self.cycle >= at {
                     self.halted = true;
@@ -909,36 +759,17 @@ impl Machine {
                     idle_cycles: self.cycle - self.last_progress,
                 });
             }
-            if use_xlate {
-                match self.xlate_span(limit_cycle, bound)? {
-                    // The span paused at a boundary cycle (stop point,
-                    // interrupt, cycle limit, watchdog deadline) or
-                    // halted: re-run the checks above at the new cycle,
-                    // exactly as the tick loop would.
-                    SpanExit::Boundary => continue,
-                    // The span met a PC it cannot run (untranslated,
-                    // misaligned, undecodable): let the interpreter take
-                    // this cycle — it executes or faults identically —
-                    // then re-enter the span.
-                    SpanExit::Tick => {}
-                    // Text was written: the translation is stale for the
-                    // rest of the run (mirrors the predecode fallback).
-                    SpanExit::Disabled => use_xlate = false,
-                }
-            }
-            // Probe for a jump only while frozen or after a cycle the CPU
-            // made no progress — the only states a skippable span can be
-            // underway — so executing cycles never pay for the probe.
-            if fast_forward
-                && (self.cpu_waiting || self.cycle < self.freeze_until)
-                && self.fast_forward(limit_cycle, bound)
-            {
-                // Jumped: re-run the stop, interrupt, cycle-limit, and
-                // watchdog checks at the new cycle, exactly as the tick
-                // loop would have.
-                continue;
-            }
-            self.step(sink)?;
+            // Run to the first cycle at which a check above could fire
+            // (the span tracks the watchdog deadline, which moves with
+            // progress), then check again, exactly as if every cycle were
+            // checked. Pausing at a cancellation checkpoint and re-entering
+            // is the `run_until` pause path, so a run that is never
+            // cancelled is bit-identical to an unclamped one.
+            let boundary = [stop_at, next_check, self.interrupt_at]
+                .into_iter()
+                .flatten()
+                .fold(limit_cycle, u64::min);
+            self.run_span(sink, boundary)?;
         }
         // Drain the FPU: a vector may continue issuing and retiring long
         // after the CPU halts (§2.3.1's "vector ALU instructions may
@@ -1010,171 +841,273 @@ impl Machine {
         }))
     }
 
-    /// Quiescent fast-forward: if every cycle from now until a known
-    /// horizon would tick through without changing any architectural or
-    /// accounting state, jump `self.cycle` to the horizon directly,
-    /// synthesizing the per-cycle stall accounting the skipped ticks would
-    /// have accrued. Returns `true` if the cycle advanced.
-    ///
-    /// Four waits qualify:
-    ///
-    /// * **data-miss freeze** (`cycle < freeze_until`): the CPU and the
-    ///   issue stage are both gated off, so only FPU retirements can
-    ///   happen — and the jump is clamped to the next one;
-    /// * **branch bubble** (no pending instruction, fetch not ready): the
-    ///   bubble was charged in bulk at the branch; nothing accrues on the
-    ///   CPU side while it elapses;
-    /// * **fetch penalty** (pending instruction not ready): each elapsed
-    ///   cycle charges one fetch-stall cycle, synthesized here for the
-    ///   skipped span;
-    /// * **interlocked instruction** (pending instruction ready but
-    ///   blocked): the pending instruction retries and re-stalls every
-    ///   cycle on the same hazard until an event fast-forward never skips
-    ///   — an FPU retirement, `int_ready`, or `ls_free_at` — lifts it.
-    ///   [`Machine::pending_stall_horizon`] identifies the hazard by
-    ///   mirroring [`Machine::execute`]'s guard order and charges the
-    ///   matching stall counter once per skipped cycle.
-    ///
-    /// In the three non-frozen waits the issue stage also runs every
-    /// cycle: an IR that *would issue* pins the simulation to per-cycle
-    /// stepping (each issue is a scoreboard write), but a
-    /// scoreboard-*blocked* IR merely retries, so its per-cycle stall is
-    /// synthesized too. The reservations blocking it clear only at a
-    /// retirement, which the jump never skips.
-    ///
-    /// The jump is clamped to the pending external interrupt, the first
-    /// cycle at which the tick loop would abort with `CycleLimit`, and —
-    /// only when the wait itself can lapse at a retirement (a
-    /// scoreboard-blocked IR or an FPU register hazard) — the next FPU
-    /// retirement. Waits that are indifferent to retirements skip across
-    /// them: `begin_cycle` at the target retires the whole span's writes
-    /// in the same readiness order the tick loop would have.
-    /// Applies FPU retirements a skipping engine has deferred, at a point
-    /// where the run leaves the loop without a drain (a `run_until` pause,
-    /// a cycle-limit or watchdog abort). Both fast-forward and the
-    /// translated backend hop over cycles and let `begin_cycle` at the
-    /// next processed cycle retire the span's writes — invisible while
-    /// the run continues, but at an exit the deferred writes would leak
-    /// into the observed architectural state. The tick loop ran phase 1
-    /// on every cycle up to `C-1`, so retire exactly that much; a write
-    /// due at `C` itself stays in flight there too (the loop exits before
-    /// `C`'s phase 1). No-op under pure tick-by-tick, where nothing is
-    /// ever deferred.
+    /// Applies FPU retirements a hop has deferred, at a point where the
+    /// run leaves the loop without a drain (a `run_until` pause, a
+    /// cancellation, a cycle-limit or watchdog abort). A hop lets
+    /// `begin_cycle` at the next processed cycle retire the skipped
+    /// span's writes — invisible while the run continues, but at an exit
+    /// the deferred writes would leak into the observed architectural
+    /// state. A stepped run processed phase 1 on every cycle up to `C-1`,
+    /// so retire exactly that much; a write due at `C` itself stays in
+    /// flight there too (the loop exits before `C`'s phase 1). No-op
+    /// after stepping, where nothing is ever deferred.
     fn catch_up_retires(&mut self) {
         if self.fpu.next_retire_at().is_some_and(|r| r < self.cycle) {
             self.fpu.begin_cycle(self.cycle - 1);
         }
     }
 
-    fn fast_forward(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> bool {
-        let mut cpu_stall = FfStall::None;
-        let mut ir_stalled = false;
-        let horizon = if self.cycle < self.freeze_until {
-            self.freeze_until
-        } else {
-            let h = match self.pending {
-                None if self.cycle < self.fetch_ready_at => self.fetch_ready_at,
-                None => return false,
-                Some(_) if self.cycle < self.pending_ready_at => {
-                    cpu_stall = FfStall::Fetch;
-                    self.pending_ready_at
-                }
-                Some(instr) => match self.pending_stall_horizon(instr) {
-                    Some((stall, h)) => {
-                        cpu_stall = stall;
-                        h
-                    }
-                    None => return false, // would execute this cycle
-                },
-            };
-            match self.fpu.issue_blocked() {
-                // A non-frozen cycle offers the IR an issue slot; each
-                // issue reserves a register, so it cannot be skipped.
-                Some(false) => return false,
-                Some(true) => ir_stalled = true,
-                None => {}
-            }
-            h
-        };
-        let mut target = horizon;
-        if ir_stalled || horizon == u64::MAX {
-            // The hazard waits on the scoreboard, so it can lapse at the
-            // next retirement: jump no further. (A scoreboard hazard also
-            // implies an in-flight write, so a retirement exists — and if
-            // one is already due this cycle, before `begin_cycle` has
-            // processed it, the clamp forces `target <= cycle` below and
-            // the tick loop re-evaluates with a fresh scoreboard.)
-            //
-            // All other waits are indifferent to retirements: the CPU and
-            // the issue stage observe nothing mid-span, and `pop_ready`
-            // retires strictly in readiness order, so processing the
-            // span's retirements in one `begin_cycle` at the target
-            // produces the same registers, scoreboard, and PSW as
-            // processing them cycle by cycle.
-            if let Some(retire) = self.fpu.next_retire_at() {
-                target = target.min(retire);
-            }
-        }
-        if let Some(at) = self.interrupt_at {
-            target = target.min(at);
-        }
-        // A pending injection point auto-disarms the jump at that cycle:
-        // the run pauses at exactly `stop_at`, never beyond it.
-        if let Some(stop) = stop_at {
-            target = target.min(stop);
-        }
-        // Never jump past the first cycle at which the watchdog would
-        // fire, so tick-by-tick and fast-forwarded runs report it at the
-        // identical cycle.
-        if self.config.watchdog_cycles > 0 {
-            target = target.min(self.last_progress + self.config.watchdog_cycles + 1);
-        }
-        target = target.min(limit_cycle);
-        if target <= self.cycle {
-            return false;
-        }
-        debug_assert!(target < u64::MAX, "unbounded jump must clamp to a retire");
-        let skipped = target - self.cycle;
-        // The tick loop charges one stall cycle per elapsed wait cycle;
-        // the skipped span accrues identically.
-        self.charge_ff_stall(cpu_stall, skipped);
-        if ir_stalled {
-            self.fpu.add_scoreboard_stalls(skipped);
-        }
-        self.cycle = target;
-        true
-    }
-
-    /// If the pending, fetch-complete instruction would stall this cycle,
-    /// returns the stall counter it charges and the first cycle at which
-    /// the blocking condition could lapse (`u64::MAX` when only an FPU
-    /// retirement can lift it — the caller clamps to the next one, which
-    /// the hazard guarantees exists). `None` means the instruction would
-    /// execute, so the cycle cannot be skipped.
+    /// The execution engine: runs cycles until `self.cycle` reaches
+    /// `boundary` — the first cycle at which one of the run loop's
+    /// checks (stop point, cancellation checkpoint, interrupt, cycle
+    /// limit) could fire — or the watchdog deadline, or the CPU halts.
     ///
-    /// Mirrors the guard order of [`Machine::cpu_step`] and
-    /// [`Machine::execute`] exactly: serialized-issue IR gate, then per
-    /// instruction the integer load interlock, the load/store port, and
-    /// the FPU register hazard — all read from the shared
-    /// [`mt_isa::cost::InstrCost`] table, the same table the execute
-    /// stage and `mt-mca`'s static replay consume. The horizons are
-    /// exact because nothing that feeds the guards (`int_ready`,
-    /// `ls_free_at`, the IR, the scoreboard) changes while both the CPU
-    /// and the issue stage stall.
-    fn pending_stall_horizon(&self, instr: Instr) -> Option<(FfStall, u64)> {
-        if self.config.serialized_issue && self.fpu.ir_busy() {
-            return Some((FfStall::IrBusy, u64::MAX));
+    /// A cycle has three phases: the FPU retirements due, the CPU's
+    /// slice, and the IR's issue slot. The CPU's slice fetches a [`Uop`]
+    /// when nothing is pending ([`Machine::fetch`]), checks its guards
+    /// ([`Machine::blocked_until`]) and, when none holds it, executes it
+    /// ([`Machine::execute`]). Every cycle in which the CPU cannot
+    /// complete an instruction belongs to one of the four waits of
+    /// [`Wait`], all handled by [`Machine::wait`]: stepped one cycle at a
+    /// time while `sink` is enabled, hopped in one jump while it is not.
+    fn run_span<S: EventSink>(&mut self, sink: &mut S, boundary: u64) -> Result<(), RunError> {
+        let watchdog = self.config.watchdog_cycles;
+        // The table is immutable: one reference serves the whole span.
+        let table = self.xlate.clone();
+        while !self.halted {
+            // Within a span only the watchdog deadline moves (with
+            // `last_progress`, which only advances).
+            let boundary = if watchdog > 0 {
+                boundary.min(self.last_progress + watchdog + 1)
+            } else {
+                boundary
+            };
+            if self.cycle >= boundary {
+                break;
+            }
+
+            // Phase 1: the retirements due this cycle.
+            if self.fpu.next_retire_at().is_some_and(|r| r <= self.cycle) {
+                self.fpu.begin_cycle_with(self.cycle, sink);
+            }
+            if self.cycle < self.freeze_until {
+                self.wait(sink, Wait::Freeze, self.freeze_until, boundary);
+                continue;
+            }
+
+            // Phase 2: the CPU's slice.
+            let uop = match self.pending {
+                None if self.cycle < self.fetch_ready_at => {
+                    self.wait(sink, Wait::Bubble, self.fetch_ready_at, boundary);
+                    continue;
+                }
+                None => {
+                    let (uop, penalty) = self.fetch(table.as_deref())?;
+                    self.pending = Some(uop.instr);
+                    self.pending_ready_at = self.cycle + penalty;
+                    if penalty > 0 {
+                        // Fetch stalls accrue one cycle at a time as the
+                        // penalty elapses (this cycle is the first), so a
+                        // run that ends mid-penalty has charged exactly
+                        // the elapsed cycles. The event still reports the
+                        // whole penalty up front.
+                        self.stalls.fetch += 1;
+                        emit(
+                            sink,
+                            self.cycle,
+                            EventKind::Stall {
+                                pc: self.pc,
+                                instr_index: self.instr_index(),
+                                cause: StallCause::Fetch,
+                                cycles: penalty,
+                            },
+                        );
+                        self.issue_and_record(sink);
+                        self.cycle += 1;
+                        continue;
+                    }
+                    uop
+                }
+                Some(_) if self.cycle < self.pending_ready_at => {
+                    self.wait(sink, Wait::Fetch, self.pending_ready_at, boundary);
+                    continue;
+                }
+                Some(instr) => self.pending_uop(table.as_deref(), instr),
+            };
+            if let Some((cause, until)) = self.blocked_until(&uop.cost) {
+                self.wait(sink, Wait::Interlock(cause), until, boundary);
+                continue;
+            }
+            let next_pc = self.execute(&uop, sink)?;
+            self.instructions += 1;
+            self.last_progress = self.cycle;
+            self.pending = None;
+            emit(
+                sink,
+                self.cycle,
+                EventKind::CpuComplete {
+                    pc: self.pc,
+                    instr_index: self.instr_index(),
+                    instr: uop.instr,
+                },
+            );
+            match next_pc {
+                Some(pc) => self.pc = pc,
+                None => self.halted = true,
+            }
+
+            // Phase 3: the IR's issue slot.
+            self.issue_and_record(sink);
+            self.cycle += 1;
         }
-        self.cost_stall_horizon(&InstrCost::of(&instr))
+        Ok(())
     }
 
-    /// The instruction-independent core of
-    /// [`Machine::pending_stall_horizon`]: evaluates the guards of a
-    /// precomputed cost row. The translated backend calls this directly
-    /// with the micro-op's stored row (the serialized-issue gate is
-    /// excluded there by backend eligibility).
+    /// Spends one wait until `until`, the first cycle at which it can
+    /// lapse (`u64::MAX` when only an FPU retirement can lift it).
+    ///
+    /// With an enabled sink it steps one cycle and emits that cycle's
+    /// events. With a disabled sink it hops: nothing that feeds the wait
+    /// (`freeze_until`, `fetch_ready_at`, `pending_ready_at`,
+    /// `int_ready`, `ls_free_at`, the IR, the scoreboard) changes before
+    /// `until` while the CPU waits and the IR does not issue, so the
+    /// cycle jumps there at once — never past `boundary`, and no further
+    /// than the next retirement when that can end the wait (a
+    /// scoreboard-blocked IR, or `until == u64::MAX`) — and the skipped
+    /// cycles' stall accounting is charged in bulk. Other waits skip
+    /// across retirements: `begin_cycle` at the target retires the
+    /// span's writes in readiness order, exactly as stepping would. A
+    /// cycle in which the IR would issue is stepped in both modes,
+    /// because each issue writes the scoreboard.
+    #[inline(always)]
+    fn wait<S: EventSink>(&mut self, sink: &mut S, wait: Wait, until: u64, boundary: u64) {
+        // The issue stage is gated with the CPU during a freeze.
+        let frozen = matches!(wait, Wait::Freeze);
+        if !sink.enabled() {
+            let blocked = if frozen {
+                None
+            } else {
+                self.fpu.issue_blocked()
+            };
+            if blocked != Some(false) {
+                let ir_stalled = blocked.is_some();
+                let mut to = until;
+                if ir_stalled || until == u64::MAX {
+                    if let Some(retire) = self.fpu.next_retire_at() {
+                        to = to.min(retire);
+                    }
+                }
+                let to = to.min(boundary);
+                debug_assert!(to > self.cycle, "a wait lasts past this cycle");
+                let cycles = to - self.cycle;
+                self.charge(wait, cycles);
+                if ir_stalled {
+                    self.fpu.add_scoreboard_stalls(cycles);
+                }
+                self.cycle = to;
+                return;
+            }
+        }
+        self.charge(wait, 1);
+        if let Wait::Interlock(cause) = wait {
+            self.emit_stall(sink, cause);
+        }
+        if !frozen {
+            self.issue_and_record(sink);
+        }
+        self.cycle += 1;
+    }
+
+    /// Charges `cycles` cycles of `wait` to its stall counter. Freeze and
+    /// bubble cycles are charged in bulk at the miss and at the branch.
     #[inline]
-    fn cost_stall_horizon(&self, cost: &InstrCost) -> Option<(FfStall, u64)> {
+    fn charge(&mut self, wait: Wait, cycles: u64) {
+        let s = &mut self.stalls;
+        let counter = match wait {
+            Wait::Freeze | Wait::Bubble => return,
+            Wait::Fetch => &mut s.fetch,
+            Wait::Interlock(cause) => match cause {
+                StallCause::IrBusy => &mut s.ir_busy,
+                StallCause::LsPortBusy => &mut s.ls_port_busy,
+                StallCause::FpuRegHazard => &mut s.fpu_reg_hazard,
+                StallCause::IntLoadHazard => &mut s.int_load_hazard,
+                StallCause::Fetch => &mut s.fetch,
+                StallCause::DataMiss => &mut s.data_miss,
+                StallCause::Branch => &mut s.branch,
+            },
+        };
+        *counter += cycles;
+    }
+
+    /// Fetches the instruction at the PC as a micro-op, with its fetch
+    /// penalty. While no write has touched the text since
+    /// [`Machine::load_program`], the translated table holds the word at
+    /// every text PC, so the fetch only charges the cache path. Any other
+    /// PC — outside the text, misaligned, an undecodable word — and every
+    /// fetch after a write to the text (self-modifying code, a fault
+    /// injection, a workload poke) reads and decodes the word instead,
+    /// faulting where the hardware would.
+    #[inline(always)]
+    fn fetch(&mut self, table: Option<&TranslatedProgram>) -> Result<(Uop, u64), RunError> {
+        if self.mem.memory.watch_writes() == 0 {
+            if let Some(&uop) = table.and_then(|t| t.uop(self.pc)) {
+                return Ok((uop, self.mem.fetch_timing(self.pc)));
+            }
+        }
+        self.fetch_and_decode()
+    }
+
+    /// The micro-op of the pending instruction `instr`: the table's while
+    /// the text is unwritten (the word fetched at the PC is then the one
+    /// translated), else built from `instr` itself. Same lookup as
+    /// [`Machine::fetch`]; kept separate because the engine loop's speed
+    /// depends on how little of it is inlined.
+    #[inline(always)]
+    fn pending_uop(&self, table: Option<&TranslatedProgram>, instr: Instr) -> Uop {
+        if self.mem.memory.watch_writes() == 0 {
+            if let Some(&uop) = table.and_then(|t| t.uop(self.pc)) {
+                return uop;
+            }
+        }
+        self.rebuilt_uop(instr)
+    }
+
+    /// The fallback of [`Machine::pending_uop`], kept out of line so the
+    /// table path stays small in the engine loop.
+    #[cold]
+    #[inline(never)]
+    fn rebuilt_uop(&self, instr: Instr) -> Uop {
+        Uop::new(self.pc, instr)
+    }
+
+    /// The decode fallback of [`Machine::fetch`], kept out of line so the
+    /// table path stays small in the engine loop.
+    #[inline(never)]
+    fn fetch_and_decode(&mut self) -> Result<(Uop, u64), RunError> {
+        let (word, penalty) = self
+            .mem
+            .try_fetch(self.pc)
+            .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
+        let instr = Instr::decode(word).map_err(|e| RunError::BadInstruction {
+            pc: self.pc,
+            message: e.to_string(),
+        })?;
+        Ok((Uop::new(self.pc, instr), penalty))
+    }
+
+    /// The guard that holds the pending instruction this cycle, if any,
+    /// with the first cycle at which it can lapse (`u64::MAX` when only
+    /// an FPU retirement can lift it). Guards apply in the hardware's
+    /// order: the serialized-issue ablation's IR gate, then, from the
+    /// instruction's row of the shared [`InstrCost`] table, the integer
+    /// load interlock, the load/store port, the FPU register hazard and
+    /// the IR-busy transfer. `mt-mca` replays exactly these guards
+    /// statically; a change to the table changes both in lock step.
+    #[inline(always)]
+    fn blocked_until(&self, cost: &InstrCost) -> Option<(StallCause, u64)> {
+        if self.config.serialized_issue && self.fpu.ir_busy() {
+            return Some((StallCause::IrBusy, u64::MAX));
+        }
         if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
             // Blocked until the last checked register is ready (free ones
             // are ready already).
@@ -1183,442 +1116,26 @@ impl Machine {
                 .map(|r| self.int_ready[r.index() as usize])
                 .max()
                 .expect("a blocked guard set is nonempty");
-            return Some((FfStall::IntLoadHazard, ready));
+            return Some((StallCause::IntLoadHazard, ready));
         }
         if cost.port.is_some() && self.cycle < self.ls_free_at {
-            return Some((FfStall::LsPortBusy, self.ls_free_at));
+            return Some((StallCause::LsPortBusy, self.ls_free_at));
         }
         if let Some((fr, is_load)) = cost.fpu_mem {
             if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
-                return Some((FfStall::FpuRegHazard, u64::MAX));
+                return Some((StallCause::FpuRegHazard, u64::MAX));
             }
         }
         if cost.fpu_transfer && self.fpu.ir_busy() {
-            return Some((FfStall::IrBusy, u64::MAX));
+            return Some((StallCause::IrBusy, u64::MAX));
         }
         None
-    }
-
-    /// Bumps the stall counter `stall` names by `cycles` — the shared
-    /// bulk-accounting primitive of [`Machine::fast_forward`] and the
-    /// translated backend.
-    #[inline]
-    fn charge_ff_stall(&mut self, stall: FfStall, cycles: u64) {
-        match stall {
-            FfStall::None => {}
-            FfStall::Fetch => self.stalls.fetch += cycles,
-            FfStall::IrBusy => self.stalls.ir_busy += cycles,
-            FfStall::LsPortBusy => self.stalls.ls_port_busy += cycles,
-            FfStall::IntLoadHazard => self.stalls.int_load_hazard += cycles,
-            FfStall::FpuRegHazard => self.stalls.fpu_reg_hazard += cycles,
-        }
-    }
-
-    /// The translated backend: runs micro-ops from the block cache until
-    /// a boundary cycle, a PC it cannot translate, or a text write —
-    /// the per-cycle semantics of [`Machine::step`] with every static
-    /// re-derivation (decode, cost-table dispatch, target arithmetic)
-    /// already resolved, the no-op FPU phases skipped (a `begin_cycle`
-    /// with no retirement due and an `issue` with an empty IR do
-    /// nothing), and every multi-cycle wait — freeze, branch bubble,
-    /// fetch penalty, interlock — taken in one hop with its per-cycle
-    /// stall accounting synthesized, exactly as
-    /// [`Machine::fast_forward`] does for the tick loop.
-    ///
-    /// Equivalence argument, per cycle phase (DESIGN.md §13 spells out
-    /// the full case analysis):
-    ///
-    /// * the outer loop's stop/interrupt/limit/watchdog checks are
-    ///   hoisted to a `boundary` cycle — below it they all pass
-    ///   trivially, and the span returns at it so the outer loop re-runs
-    ///   them in the tick loop's order;
-    /// * retirements are processed by `begin_cycle` only on cycles where
-    ///   one is due; on any other cycle it is a pure no-op (the pipeline
-    ///   front is not ready);
-    /// * fetches go through the micro-op table exactly when the tick
-    ///   loop's fetch would go through the predecoded table (text
-    ///   unmodified — checked against the write watch before *every*
-    ///   fetch — aligned, in range, decodable), and charge the same
-    ///   `fetch_timing`; every other PC exits to the interpreter;
-    /// * guard evaluation reads the micro-op's precomputed cost row —
-    ///   the same [`mt_isa::cost::InstrCost`] values `execute` would
-    ///   recompute — in the same order, and bulk-skips identically to
-    ///   `fast_forward` (same horizons, same retire/boundary clamps,
-    ///   same synthesized stall counters);
-    /// * execution mirrors [`Machine::execute`]'s arms with the
-    ///   pre-resolved target substituted for the target arithmetic;
-    /// * the issue stage runs whenever the IR is occupied; with an empty
-    ///   IR `issue` returns `Idle` without side effects.
-    fn xlate_span(&mut self, limit_cycle: u64, stop_at: Option<u64>) -> Result<SpanExit, RunError> {
-        let Some(xp) = self.xlate.clone() else {
-            return Ok(SpanExit::Disabled);
-        };
-        // A stale translation can also meet a *pending* instruction on
-        // resume (fetched by the interpreter from modified text), so the
-        // staleness check guards span entry as well as every fetch.
-        if self.mem.memory.watch_writes() != 0 {
-            return Ok(SpanExit::Disabled);
-        }
-        let watchdog = self.config.watchdog_cycles;
-        // First cycle the outer loop's checks could fire at; the span
-        // never crosses it. Only the watchdog term varies (with
-        // `last_progress`, which only advances), so the static part is
-        // hoisted out of the per-cycle loop.
-        let mut static_boundary = limit_cycle;
-        if let Some(stop) = stop_at {
-            static_boundary = static_boundary.min(stop);
-        }
-        if let Some(at) = self.interrupt_at {
-            static_boundary = static_boundary.min(at);
-        }
-        loop {
-            let mut boundary = static_boundary;
-            if watchdog > 0 {
-                boundary = boundary.min(self.last_progress + watchdog + 1);
-            }
-            if self.cycle >= boundary {
-                return Ok(SpanExit::Boundary);
-            }
-
-            // Phase 1: retirements — only on cycles one is due.
-            if let Some(retire) = self.fpu.next_retire_at() {
-                if retire <= self.cycle {
-                    self.fpu.begin_cycle(self.cycle);
-                }
-            }
-
-            // Data-miss freeze: CPU and issue both gated; hop to the
-            // horizon (retirements mid-span are processed at the target,
-            // in the same readiness order — `fast_forward`'s freeze
-            // case).
-            if self.cycle < self.freeze_until {
-                self.cycle = self.freeze_until.min(boundary);
-                continue;
-            }
-
-            // Phase 2: the CPU's slice, from the micro-op table.
-            self.cpu_waiting = true;
-            let uop: Uop = match self.pending {
-                None if self.cycle < self.fetch_ready_at => {
-                    // Branch bubble (charged at the branch): only the
-                    // issue stage runs until the fetch window opens.
-                    match self.fpu.issue_blocked() {
-                        Some(false) => {
-                            // An issue writes the scoreboard: single-step.
-                            self.issue_and_record(&mut NullSink);
-                            self.cycle += 1;
-                        }
-                        blocked => {
-                            let mut t = self.fetch_ready_at;
-                            if blocked.is_some() {
-                                if let Some(retire) = self.fpu.next_retire_at() {
-                                    t = t.min(retire);
-                                }
-                            }
-                            t = t.min(boundary);
-                            debug_assert!(t > self.cycle);
-                            if blocked.is_some() {
-                                self.fpu.add_scoreboard_stalls(t - self.cycle);
-                            }
-                            self.cycle = t;
-                        }
-                    }
-                    continue;
-                }
-                None => {
-                    // Fetch. A write into the watched text range (self-
-                    // modifying code, by any path) invalidates the whole
-                    // translation *before this fetch* — not at the next
-                    // block boundary — and interpretation takes over.
-                    if self.mem.memory.watch_writes() != 0 {
-                        return Ok(SpanExit::Disabled);
-                    }
-                    let Some(&uop) = xp.uop(self.pc) else {
-                        return Ok(SpanExit::Tick);
-                    };
-                    let penalty = self.mem.fetch_timing(self.pc);
-                    self.pending = Some(uop.instr);
-                    self.pending_ready_at = self.cycle + penalty;
-                    if penalty > 0 {
-                        // First elapsed cycle of the fetch penalty.
-                        self.stalls.fetch += 1;
-                        if self.fpu.ir_busy() {
-                            self.issue_and_record(&mut NullSink);
-                        }
-                        self.cycle += 1;
-                        continue;
-                    }
-                    uop
-                }
-                Some(_) if self.cycle < self.pending_ready_at => {
-                    // Fetch penalty elapsing: one fetch-stall cycle each,
-                    // issue stage running alongside.
-                    match self.fpu.issue_blocked() {
-                        Some(false) => {
-                            self.stalls.fetch += 1;
-                            self.issue_and_record(&mut NullSink);
-                            self.cycle += 1;
-                        }
-                        blocked => {
-                            let mut t = self.pending_ready_at;
-                            if blocked.is_some() {
-                                if let Some(retire) = self.fpu.next_retire_at() {
-                                    t = t.min(retire);
-                                }
-                            }
-                            t = t.min(boundary);
-                            debug_assert!(t > self.cycle);
-                            let skipped = t - self.cycle;
-                            self.stalls.fetch += skipped;
-                            if blocked.is_some() {
-                                self.fpu.add_scoreboard_stalls(skipped);
-                            }
-                            self.cycle = t;
-                        }
-                    }
-                    continue;
-                }
-                Some(_) => {
-                    // Pending and ready: re-derive the micro-op from the
-                    // PC (unchanged while an instruction is pending; the
-                    // table is immutable and the text unwritten, so it
-                    // still matches what was latched).
-                    let Some(&uop) = xp.uop(self.pc) else {
-                        return Ok(SpanExit::Tick);
-                    };
-                    uop
-                }
-            };
-
-            // Guards, in the hardware's order, from the precomputed cost
-            // row; a stalled wait is skipped in one hop with identical
-            // accounting (`fast_forward`'s interlocked case — here the
-            // retire clamp can only bind above `cycle`, because phase 1
-            // already processed every retirement due).
-            if let Some((stall, horizon)) = self.cost_stall_horizon(&uop.cost) {
-                match self.fpu.issue_blocked() {
-                    Some(false) => {
-                        self.charge_ff_stall(stall, 1);
-                        self.issue_and_record(&mut NullSink);
-                        self.cycle += 1;
-                    }
-                    blocked => {
-                        let ir_stalled = blocked.is_some();
-                        let mut t = horizon;
-                        if ir_stalled || horizon == u64::MAX {
-                            if let Some(retire) = self.fpu.next_retire_at() {
-                                t = t.min(retire);
-                            }
-                        }
-                        t = t.min(boundary);
-                        debug_assert!(t > self.cycle, "guards imply a future horizon");
-                        debug_assert!(t < u64::MAX, "unbounded wait must clamp to a retire");
-                        let skipped = t - self.cycle;
-                        self.charge_ff_stall(stall, skipped);
-                        if ir_stalled {
-                            self.fpu.add_scoreboard_stalls(skipped);
-                        }
-                        self.cycle = t;
-                    }
-                }
-                continue;
-            }
-
-            // Execute — [`Machine::execute`]'s arms, pre-resolved.
-            let next_pc = match uop.instr {
-                Instr::Nop => uop.target,
-                Instr::Halt => {
-                    self.instructions += 1;
-                    self.last_progress = self.cycle;
-                    self.pending = None;
-                    self.halted = true;
-                    if self.fpu.ir_busy() {
-                        self.issue_and_record(&mut NullSink);
-                    }
-                    self.cycle += 1;
-                    return Ok(SpanExit::Boundary);
-                }
-                Instr::Mfpsw { rd } => {
-                    let psw = self.fpu.psw();
-                    let mut v = psw.flags.bits() as i32;
-                    if let Some(dest) = psw.overflow_dest {
-                        v |= (dest.index() as i32) << 8 | 1 << 15;
-                    }
-                    self.set_ireg(rd, v);
-                    uop.target
-                }
-                Instr::ClrPsw => {
-                    self.fpu.clear_psw();
-                    uop.target
-                }
-                Instr::Alu { op, rd, rs1, rs2 } => {
-                    let a = self.ireg(rs1);
-                    let b = self.ireg(rs2);
-                    let v = match op {
-                        AluOp::Add => a.wrapping_add(b),
-                        AluOp::Sub => a.wrapping_sub(b),
-                        AluOp::And => a & b,
-                        AluOp::Or => a | b,
-                        AluOp::Xor => a ^ b,
-                        AluOp::Sll => ((a as u32) << (b as u32 & 31)) as i32,
-                        AluOp::Srl => ((a as u32) >> (b as u32 & 31)) as i32,
-                        AluOp::Sra => a >> (b as u32 & 31),
-                        AluOp::Slt => (a < b) as i32,
-                        AluOp::Mul => a.wrapping_mul(b),
-                    };
-                    self.set_ireg(rd, v);
-                    uop.target
-                }
-                Instr::Addi { rd, rs1, imm } => {
-                    self.set_ireg(rd, self.ireg(rs1).wrapping_add(imm));
-                    uop.target
-                }
-                Instr::Lui { rd, imm } => {
-                    self.set_ireg(rd, ((imm << 14) & 0xFFFF_C000) as i32);
-                    uop.target
-                }
-                Instr::Lw { rd, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    let (value, penalty) = self
-                        .mem
-                        .try_load_u32(addr)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.set_ireg(rd, value as i32);
-                    self.int_ready[rd.index() as usize] =
-                        self.cycle + penalty + self.timing.int_load_delay_cycles;
-                    self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Sw { rs, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    let penalty = self
-                        .mem
-                        .try_store_u32(addr, self.ireg(rs) as u32)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Fld { fr, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    let (bits, penalty) = self
-                        .mem
-                        .try_load_f64(addr)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.fpu.load_write(fr, bits, self.cycle + penalty);
-                    self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Fst { fr, base, offset } => {
-                    let addr = (self.ireg(base) as u32).wrapping_add(offset as u32);
-                    self.mem
-                        .memory
-                        .try_check(addr, 8)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    let bits = self.fpu.read_reg_for_store(fr);
-                    let penalty = self
-                        .mem
-                        .try_store_f64(addr, bits)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
-                    self.apply_miss(penalty, &mut NullSink);
-                    uop.target
-                }
-                Instr::Branch { cond, rs1, rs2, .. } => {
-                    if cond.eval(self.ireg(rs1), self.ireg(rs2)) {
-                        self.take_branch_bubble(&mut NullSink);
-                        uop.target
-                    } else {
-                        self.pc.wrapping_add(4)
-                    }
-                }
-                Instr::Jump { .. } => {
-                    self.take_branch_bubble(&mut NullSink);
-                    uop.target
-                }
-                Instr::Jal { .. } => {
-                    self.set_ireg(IReg::new(31), self.pc.wrapping_add(4) as i32);
-                    self.take_branch_bubble(&mut NullSink);
-                    uop.target
-                }
-                Instr::Jr { rs } => {
-                    self.take_branch_bubble(&mut NullSink);
-                    self.ireg(rs) as u32
-                }
-                Instr::Falu(f) => {
-                    if self.fpu.try_transfer(f) {
-                        self.ir_pc = self.pc;
-                        self.ir_index = self.instr_index();
-                        uop.target
-                    } else {
-                        // Unreachable — the `fpu_transfer` guard above
-                        // already held — but mirror the interpreter's
-                        // stall handling rather than assume it.
-                        self.stalls.ir_busy += 1;
-                        self.issue_and_record(&mut NullSink);
-                        self.cycle += 1;
-                        continue;
-                    }
-                }
-            };
-
-            // Completion bookkeeping ([`Machine::cpu_step`]'s `Done`
-            // path), then phase 3: the issue stage, skipped when the IR
-            // is empty (`issue` would return `Idle` without effects).
-            self.cpu_waiting = false;
-            self.instructions += 1;
-            self.last_progress = self.cycle;
-            self.pending = None;
-            self.pc = next_pc;
-            if self.fpu.ir_busy() {
-                self.issue_and_record(&mut NullSink);
-            }
-            self.cycle += 1;
-        }
-    }
-
-    /// Advances the machine by one cycle.
-    fn step<S: EventSink>(&mut self, sink: &mut S) -> Result<(), RunError> {
-        self.fpu.begin_cycle_with(self.cycle, sink);
-        if self.cycle >= self.freeze_until {
-            self.cpu_step(sink)?;
-            self.issue_and_record(sink);
-        }
-        self.cycle += 1;
-        Ok(())
     }
 
     /// Index of the current PC in the program text, matching `mt-lint`
     /// finding indices and assembler source spans.
     fn instr_index(&self) -> u32 {
         self.pc.wrapping_sub(self.entry) / 4
-    }
-
-    /// Decodes the word just fetched at the current PC, through the
-    /// predecoded side table when the stored word still matches (the
-    /// common case: text unmodified since [`Machine::load_program`]).
-    /// A mismatch — self-modifying text, or a PC outside the loaded
-    /// program — decodes the fetched word directly and re-caches it.
-    #[inline]
-    fn decode_fetched(&mut self, word: u32) -> Result<Instr, RunError> {
-        let idx = (self.pc.wrapping_sub(self.text_base) / 4) as usize;
-        if let Some(Some((cached_word, instr))) = self.decoded.get(idx) {
-            if *cached_word == word {
-                return Ok(*instr);
-            }
-        }
-        let instr = Instr::decode(word).map_err(|e| RunError::BadInstruction {
-            pc: self.pc,
-            message: e.to_string(),
-        })?;
-        if self.predecode_enabled {
-            if let Some(slot) = self.decoded.get_mut(idx) {
-                *slot = Some((word, instr));
-            }
-        }
-        Ok(instr)
     }
 
     /// Lets the ALU IR issue through this cycle's element lanes, emitting
@@ -1631,12 +1148,21 @@ impl Machine {
     /// lane checks the scoreboard. Only the *first* lane's blocked
     /// attempt charges a scoreboard stall (later lanes going unused is
     /// issue-width under-utilization, not a stall), so at `fpu_lanes = 1`
-    /// this is exactly the single-`issue` call it replaces. The
-    /// fast-forward and translated backends compose unchanged: their
+    /// this is exactly a single `issue` call. A hop's
     /// [`Fpu::issue_blocked`] probe asks about the first element, and a
-    /// cycle whose first element would issue is always single-stepped
-    /// through this function.
+    /// cycle whose first element would issue is always stepped through
+    /// this function.
+    #[inline(always)]
     fn issue_and_record<S: EventSink>(&mut self, sink: &mut S) {
+        if self.fpu.ir_busy() {
+            self.issue_lanes(sink);
+        }
+    }
+
+    /// The lane loop of [`Machine::issue_and_record`], kept out of line:
+    /// the engine loop inlines only the empty-IR check.
+    #[inline(never)]
+    fn issue_lanes<S: EventSink>(&mut self, sink: &mut S) {
         for lane in 0..self.timing.fpu_lanes.max(1) {
             match self.fpu.issue_lane(self.cycle, lane == 0) {
                 mt_core::IssueOutcome::Issued {
@@ -1674,118 +1200,6 @@ impl Machine {
         }
     }
 
-    /// The CPU's slice of the cycle: fetch if needed, then try to execute.
-    fn cpu_step<S: EventSink>(&mut self, sink: &mut S) -> Result<(), RunError> {
-        // Assume a wait; the instruction-completed paths below clear it.
-        self.cpu_waiting = true;
-        if self.pending.is_none() {
-            if self.cycle < self.fetch_ready_at {
-                return Ok(()); // branch bubble (accounted at the branch)
-            }
-            // While the text is provably unmodified since load, the
-            // predecoded entry IS the word at this PC: skip the memory
-            // read and the word compare. Any write to the text range
-            // (self-modification by any path) drops fetches back to the
-            // read-and-compare slow path for the rest of the machine's
-            // life. A misaligned PC (corrupted `jr`) never matches the
-            // table — it goes through the fallible fetch and faults.
-            let off = self.pc.wrapping_sub(self.text_base);
-            let predecoded = if self.mem.memory.watch_writes() == 0 && off & 3 == 0 {
-                self.decoded.get((off / 4) as usize).copied().flatten()
-            } else {
-                None
-            };
-            let (instr, penalty) = match predecoded {
-                Some((_, instr)) => (instr, self.mem.fetch_timing(self.pc)),
-                None => {
-                    let (word, penalty) = self
-                        .mem
-                        .try_fetch(self.pc)
-                        .map_err(|fault| RunError::MemoryFault { pc: self.pc, fault })?;
-                    (self.decode_fetched(word)?, penalty)
-                }
-            };
-            self.pending = Some(instr);
-            self.pending_ready_at = self.cycle + penalty;
-            if penalty > 0 {
-                // Fetch stalls accrue one cycle at a time as the penalty
-                // elapses (this cycle is the first), so a run that ends
-                // mid-penalty has charged exactly the elapsed cycles. The
-                // event still reports the whole penalty up front.
-                self.stalls.fetch += 1;
-                emit(
-                    sink,
-                    self.cycle,
-                    EventKind::Stall {
-                        pc: self.pc,
-                        instr_index: self.instr_index(),
-                        cause: StallCause::Fetch,
-                        cycles: penalty,
-                    },
-                );
-                return Ok(());
-            }
-        }
-        if self.cycle < self.pending_ready_at {
-            self.stalls.fetch += 1;
-            return Ok(()); // fetch penalty elapsing
-        }
-        let instr = self.pending.expect("pending instruction present");
-
-        // Ablation: with serialized issue the CPU may not proceed at all
-        // while the ALU IR is still issuing a vector.
-        if self.config.serialized_issue && self.fpu.ir_busy() {
-            self.stalls.ir_busy += 1;
-            self.emit_stall(sink, StallCause::IrBusy);
-            return Ok(());
-        }
-
-        match self.execute(instr, sink)? {
-            Exec::Stall => Ok(()),
-            Exec::Done(redirect) => {
-                self.cpu_waiting = false;
-                self.instructions += 1;
-                self.last_progress = self.cycle;
-                self.pending = None;
-                if self.config.trace {
-                    self.trace_log
-                        .push(format!("{:>8}  {:#07x}  {instr}", self.cycle, self.pc));
-                }
-                emit(
-                    sink,
-                    self.cycle,
-                    EventKind::CpuComplete {
-                        pc: self.pc,
-                        instr_index: self.instr_index(),
-                        instr,
-                    },
-                );
-                self.pc = redirect.unwrap_or_else(|| self.pc.wrapping_add(4));
-                Ok(())
-            }
-            Exec::Halted => {
-                self.instructions += 1;
-                self.last_progress = self.cycle;
-                self.pending = None;
-                self.halted = true;
-                if self.config.trace {
-                    self.trace_log
-                        .push(format!("{:>8}  {:#07x}  halt", self.cycle, self.pc));
-                }
-                emit(
-                    sink,
-                    self.cycle,
-                    EventKind::CpuComplete {
-                        pc: self.pc,
-                        instr_index: self.instr_index(),
-                        instr,
-                    },
-                );
-                Ok(())
-            }
-        }
-    }
-
     /// Emits a one-cycle CPU stall at the current PC.
     fn emit_stall<S: EventSink>(&mut self, sink: &mut S, cause: StallCause) {
         emit(
@@ -1805,33 +1219,14 @@ impl Machine {
         self.cycle < self.int_ready[r.index() as usize]
     }
 
-    fn execute<S: EventSink>(&mut self, instr: Instr, sink: &mut S) -> Result<Exec, RunError> {
-        // Hazard guards, in the hardware's order — integer load
-        // interlock, then the load/store port, then the FPU register
-        // hazard — driven by the shared [`mt_isa::cost::InstrCost`]
-        // table. `mt-mca` replays exactly these guards statically; a
-        // change to the table changes both in lock step.
-        let cost = InstrCost::of(&instr);
-        if cost.int_guard_regs().any(|r| self.int_blocked(r)) {
-            self.stalls.int_load_hazard += 1;
-            self.emit_stall(sink, StallCause::IntLoadHazard);
-            return Ok(Exec::Stall);
-        }
-        if cost.port.is_some() && self.cycle < self.ls_free_at {
-            self.stalls.ls_port_busy += 1;
-            self.emit_stall(sink, StallCause::LsPortBusy);
-            return Ok(Exec::Stall);
-        }
-        if let Some((fr, is_load)) = cost.fpu_mem {
-            if self.fpu.reg_reserved(fr) || self.current_element_conflict(fr, is_load) {
-                self.stalls.fpu_reg_hazard += 1;
-                self.emit_stall(sink, StallCause::FpuRegHazard);
-                return Ok(Exec::Stall);
-            }
-        }
-        match instr {
-            Instr::Nop => Ok(Exec::Done(None)),
-            Instr::Halt => Ok(Exec::Halted),
+    /// Executes the pending micro-op once no guard holds it: its
+    /// architectural effect and the events it emits before completing.
+    /// Returns the next PC, or `None` for `halt`.
+    #[inline(always)]
+    fn execute<S: EventSink>(&mut self, uop: &Uop, sink: &mut S) -> Result<Option<u32>, RunError> {
+        let next_pc = match uop.instr {
+            Instr::Halt => return Ok(None),
+            Instr::Nop => uop.target,
 
             Instr::Mfpsw { rd } => {
                 let psw = self.fpu.psw();
@@ -1840,12 +1235,12 @@ impl Machine {
                     v |= (dest.index() as i32) << 8 | 1 << 15;
                 }
                 self.set_ireg(rd, v);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::ClrPsw => {
                 self.fpu.clear_psw();
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Alu { op, rd, rs1, rs2 } => {
@@ -1864,17 +1259,17 @@ impl Machine {
                     AluOp::Mul => a.wrapping_mul(b),
                 };
                 self.set_ireg(rd, v);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Addi { rd, rs1, imm } => {
                 self.set_ireg(rd, self.ireg(rs1).wrapping_add(imm));
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Lui { rd, imm } => {
                 self.set_ireg(rd, ((imm << 14) & 0xFFFF_C000) as i32);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Lw { rd, base, offset } => {
@@ -1890,7 +1285,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
                 self.emit_dcache(sink, false, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Sw { rs, base, offset } => {
@@ -1903,7 +1298,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
                 self.emit_dcache(sink, true, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Fld { fr, base, offset } => {
@@ -1919,7 +1314,7 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.load_port_cycles;
                 self.emit_dcache(sink, false, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
             Instr::Fst { fr, base, offset } => {
@@ -1940,63 +1335,55 @@ impl Machine {
                 self.ls_free_at = self.cycle + penalty + self.timing.store_port_cycles;
                 self.emit_dcache(sink, true, penalty);
                 self.apply_miss(penalty, sink);
-                Ok(Exec::Done(None))
+                uop.target
             }
 
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
+            Instr::Branch { cond, rs1, rs2, .. } => {
                 if cond.eval(self.ireg(rs1), self.ireg(rs2)) {
                     self.take_branch_bubble(sink);
-                    let target = (self.pc / 4).wrapping_add(1).wrapping_add(offset as u32);
-                    Ok(Exec::Done(Some(target.wrapping_mul(4))))
+                    uop.target
                 } else {
-                    Ok(Exec::Done(None))
+                    self.pc.wrapping_add(4)
                 }
             }
 
-            Instr::Jump { target } => {
+            Instr::Jump { .. } => {
                 self.take_branch_bubble(sink);
-                Ok(Exec::Done(Some(target.wrapping_mul(4))))
+                uop.target
             }
 
-            Instr::Jal { target } => {
+            Instr::Jal { .. } => {
                 self.set_ireg(IReg::new(31), self.pc.wrapping_add(4) as i32);
                 self.take_branch_bubble(sink);
-                Ok(Exec::Done(Some(target.wrapping_mul(4))))
+                uop.target
             }
 
             Instr::Jr { rs } => {
                 self.take_branch_bubble(sink);
-                Ok(Exec::Done(Some(self.ireg(rs) as u32)))
+                self.ireg(rs) as u32
             }
 
             Instr::Falu(f) => {
-                if self.fpu.try_transfer(f) {
-                    // Subsequent FPU-side events (element issues, scoreboard
-                    // stalls, drain) belong to this instruction.
-                    self.ir_pc = self.pc;
-                    self.ir_index = self.instr_index();
-                    emit(
-                        sink,
-                        self.cycle,
-                        EventKind::Transfer {
-                            pc: self.pc,
-                            instr_index: self.ir_index,
-                            instr: f,
-                        },
-                    );
-                    Ok(Exec::Done(None))
-                } else {
-                    self.stalls.ir_busy += 1;
-                    self.emit_stall(sink, StallCause::IrBusy);
-                    Ok(Exec::Stall)
-                }
+                // The IR-busy guard admitted the transfer.
+                let transferred = self.fpu.try_transfer(f);
+                debug_assert!(transferred, "transfer into a busy IR");
+                // Subsequent FPU-side events (element issues, scoreboard
+                // stalls, drain) belong to this instruction.
+                self.ir_pc = self.pc;
+                self.ir_index = self.instr_index();
+                emit(
+                    sink,
+                    self.cycle,
+                    EventKind::Transfer {
+                        pc: self.pc,
+                        instr_index: self.ir_index,
+                        instr: f,
+                    },
+                );
+                uop.target
             }
-        }
+        };
+        Ok(Some(next_pc))
     }
 
     fn take_branch_bubble<S: EventSink>(&mut self, sink: &mut S) {

@@ -226,6 +226,22 @@ impl Timeline {
     }
 }
 
+/// The instruction trace of a recorded run: one
+/// `"{cycle:>8}  {pc:#07x}  {instr}"` line per completing CPU instruction
+/// ([`EventKind::CpuComplete`]), in completion order — the text
+/// `mtasm run --trace` prints and `POST /run?trace=1` returns.
+pub fn trace_lines(events: &[TraceEvent]) -> Vec<String> {
+    events
+        .iter()
+        .filter_map(|ev| match ev.kind {
+            EventKind::CpuComplete { pc, instr, .. } => {
+                Some(format!("{:>8}  {pc:#07x}  {instr}", ev.cycle))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -430,9 +430,10 @@ fn trace_records_completed_instructions() {
     m.load_program(&prog);
     m.warm_instructions(&prog);
     m.run().unwrap();
-    assert_eq!(m.trace_log().len(), 2);
-    assert!(m.trace_log()[0].contains("addi r1, r0, 7"));
-    assert!(m.trace_log()[1].contains("halt"));
+    let log = mt_sim::trace_lines(m.trace_events());
+    assert_eq!(log.len(), 2);
+    assert!(log[0].contains("addi r1, r0, 7"));
+    assert!(log[1].contains("halt"));
 }
 
 #[test]
@@ -605,12 +606,12 @@ fn mfpsw_reads_overflow_capture_and_clrpsw_clears() {
 /// miss cycle, making `accounted_cycles()` exceed `cycles`.
 #[test]
 fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
-    for fast_forward in [false, true] {
+    for stepped in [false, true] {
         // Cold machine: the very first fetch pays the full 16-cycle
         // buffer + instruction-cache miss.
         let prog = Program::assemble(&[Instr::Nop, Instr::Halt]).expect("assembles");
         let mut m = Machine::new(SimConfig {
-            fast_forward,
+            trace: stepped,
             ..SimConfig::default()
         });
         m.load_program(&prog);
@@ -621,14 +622,15 @@ fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
         assert_eq!(
             stats.accounted_cycles(),
             stats.cycles,
-            "partial fetch penalty must not over-account (fast_forward={fast_forward})"
+            "partial fetch penalty must not over-account (stepped={stepped})"
         );
     }
 }
 
-/// Regression (PR 3): `trace_log` and `trace_events` hold the most recent
-/// run only. They used to accumulate across `run` calls on a reused
-/// machine — unbounded growth and cross-run contamination.
+/// Regression: `trace_events` (and the trace text rendered from it) holds
+/// the most recent run only. Trace buffers used to accumulate across
+/// `run` calls on a reused machine — unbounded growth and cross-run
+/// contamination.
 #[test]
 fn trace_buffers_hold_most_recent_run_only() {
     let prog = Program::assemble(&[
@@ -647,7 +649,7 @@ fn trace_buffers_hold_most_recent_run_only() {
     m.load_program(&prog);
     m.warm_instructions(&prog);
     m.run().unwrap();
-    let first_log = m.trace_log().to_vec();
+    let first_log = mt_sim::trace_lines(m.trace_events());
     let first_events = m.trace_events().len();
     assert!(!first_log.is_empty() && first_events > 0);
 
@@ -655,12 +657,9 @@ fn trace_buffers_hold_most_recent_run_only() {
     m.run().unwrap();
     // Same shape as the first run (cycle numbers keep counting across
     // reruns, so compare everything after the cycle column).
-    assert_eq!(
-        m.trace_log().len(),
-        first_log.len(),
-        "replaces, not appends"
-    );
-    for (a, b) in m.trace_log().iter().zip(&first_log) {
+    let log = mt_sim::trace_lines(m.trace_events());
+    assert_eq!(log.len(), first_log.len(), "replaces, not appends");
+    for (a, b) in log.iter().zip(&first_log) {
         assert_eq!(&a[8..], &b[8..], "second run replaces, not appends");
     }
     assert_eq!(m.trace_events().len(), first_events);
@@ -709,19 +708,18 @@ fn rerun_starts_with_a_clean_psw() {
 /// A stuck scoreboard reservation (the canonical injected fault) wedges
 /// the register interlock; the no-retire watchdog converts the infinite
 /// stall into a typed error instead of spinning to the cycle limit —
-/// and reports it at the identical cycle under tick and fast-forward
-/// execution, since fast-forward clamps its jumps to the watchdog
-/// horizon.
+/// and reports it at the identical cycle stepped and hopped, since a hop
+/// clamps to the watchdog deadline.
 #[test]
-fn watchdog_catches_stuck_scoreboard_under_tick_and_fast_forward() {
-    let run_wedged = |fast_forward: bool| {
+fn watchdog_catches_stuck_scoreboard_stepped_and_hopped() {
+    let run_wedged = |stepped: bool| {
         let prog = Program::assemble(&[
             Instr::Falu(FpuAluInstr::scalar(FpOp::Add, r(2), r(0), r(1))),
             Instr::Halt,
         ])
         .unwrap();
         let mut m = Machine::new(SimConfig {
-            fast_forward,
+            trace: stepped,
             watchdog_cycles: 100,
             ..SimConfig::default()
         });
@@ -733,14 +731,17 @@ fn watchdog_catches_stuck_scoreboard_under_tick_and_fast_forward() {
         let err = m.run().unwrap_err();
         (err, format!("{:?}", m.fpu.stats()))
     };
-    let (tick_err, tick_stats) = run_wedged(false);
-    let (ff_err, ff_stats) = run_wedged(true);
-    match &tick_err {
+    let (stepped_err, stepped_stats) = run_wedged(true);
+    let (hopped_err, hopped_stats) = run_wedged(false);
+    match &stepped_err {
         RunError::Watchdog { idle_cycles, .. } => assert!(*idle_cycles > 100),
         other => panic!("expected watchdog, got {other:?}"),
     }
-    assert_eq!(tick_err, ff_err, "watchdog must fire at the same point");
-    assert_eq!(tick_stats, ff_stats);
+    assert_eq!(
+        stepped_err, hopped_err,
+        "watchdog must fire at the same point"
+    );
+    assert_eq!(stepped_stats, hopped_stats);
 }
 
 /// `RunError` is a real error type: `Display` renders actionable

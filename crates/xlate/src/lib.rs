@@ -1,17 +1,16 @@
-//! Basic-block translation for MultiTitan programs.
+//! Translation of MultiTitan programs into micro-ops.
 //!
 //! Two layers:
 //!
 //! * [`cfg`] — the decoded program view, control-flow successors, and the
-//!   basic-block partition. Shared by the static analyses (`mt-lint`,
-//!   `mt-mca`) and by the translator below.
-//! * [`translate`] — compiles each basic block into flat, pre-resolved
-//!   micro-ops ([`Uop`]): the decoded instruction, its issue-cost/hazard
+//!   basic-block partition the static analyses (`mt-lint`, `mt-mca`) are
+//!   built on.
+//! * [`translate`] — decodes each text word into a flat, pre-resolved
+//!   micro-op ([`Uop`]): the decoded instruction, its issue-cost/hazard
 //!   metadata ([`mt_isa::InstrCost`] — guard registers, port use, stall
-//!   classes), and the pre-computed control-flow target. The simulator's
-//!   block-translated backend executes these without per-instruction
-//!   decode or cost-table dispatch; the table is indexed directly by PC,
-//!   which is what chains translated blocks together.
+//!   classes), and the pre-computed control-flow target. The simulator
+//!   fetches these by PC instead of decoding and re-deriving cost
+//!   metadata per instruction.
 //!
 //! Translation is purely static: it never changes architectural or timing
 //! semantics (the executor re-checks every dynamic hazard each cycle), it

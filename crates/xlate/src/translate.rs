@@ -1,10 +1,10 @@
-//! Block translation: each basic block compiled into flat, pre-resolved
+//! Translation: a program's text decoded once into flat, pre-resolved
 //! micro-ops.
 //!
-//! The translator walks the [`crate::cfg`] basic-block partition of a
-//! program's text section and emits one [`Uop`] per decodable word,
-//! indexed by `(pc - base) / 4`. A micro-op carries everything the
-//! execute stage would otherwise re-derive per dynamic instruction:
+//! [`TranslatedProgram::translate`] decodes each text word and emits one
+//! [`Uop`] per decodable word, indexed by `(pc - base) / 4`. A micro-op
+//! carries everything the execute stage would otherwise re-derive per
+//! dynamic instruction:
 //!
 //! * the decoded instruction itself (no fetch-word decode),
 //! * its [`InstrCost`] row — guard registers, load/store port use,
@@ -15,25 +15,22 @@
 //!   word/byte address arithmetic at the taken branch).
 //!
 //! Undecodable words translate to `None`: they cannot execute, and an
-//! executor that reaches one falls back to the interpreter, which
-//! reports the identical [`BadInstruction`] fault. Nothing dynamic is
-//! decided here — every hazard guard is still evaluated each cycle by
-//! the executor against live machine state, so translation can never
-//! change architectural results or cycle accounting.
+//! executor that reaches one decodes the fetched word itself and reports
+//! the decoder's error. Nothing dynamic is decided here — every hazard
+//! guard is still evaluated each cycle by the executor against live
+//! machine state, so translation can never change architectural results
+//! or cycle accounting.
 
 use mt_isa::cost::InstrCost;
 use mt_isa::{Instr, Program};
 
-use crate::cfg::{Blocks, ProgramView};
-
 /// One pre-resolved micro-op.
 #[derive(Debug, Clone, Copy)]
 pub struct Uop {
-    /// The decoded instruction (also what a fallback interpreter step
-    /// receives as its pending instruction).
+    /// The decoded instruction.
     pub instr: Instr,
     /// The instruction's static issue-cost/hazard metadata, precomputed
-    /// once at translation instead of per execute attempt.
+    /// once instead of per execute attempt.
     pub cost: InstrCost,
     /// Resolved control-flow target as an absolute byte PC: the taken
     /// destination for `Branch`/`Jump`/`Jal`, the fall-through `pc + 4`
@@ -42,60 +39,59 @@ pub struct Uop {
     pub target: u32,
 }
 
-/// A program's text section compiled to micro-ops, indexed by PC.
+impl Uop {
+    /// The micro-op of `instr` at byte address `pc`. The translator and
+    /// the simulator's decode fallback both build micro-ops here, so the
+    /// branch-target arithmetic lives in one place.
+    pub fn new(pc: u32, instr: Instr) -> Uop {
+        let target = match instr {
+            // Word-granular PC+1+offset, then back to bytes.
+            Instr::Branch { offset, .. } => (pc / 4)
+                .wrapping_add(1)
+                .wrapping_add(offset as u32)
+                .wrapping_mul(4),
+            Instr::Jump { target } | Instr::Jal { target } => target.wrapping_mul(4),
+            _ => pc.wrapping_add(4),
+        };
+        Uop {
+            instr,
+            cost: InstrCost::of(&instr),
+            target,
+        }
+    }
+}
+
+/// A program's text section translated to micro-ops, indexed by PC.
 ///
-/// This is the block cache of the translated backend: `uop(pc)` is the
-/// lookup that chains one translated block into the next, and the whole
-/// table is dropped (the executor falls back to interpretation) when the
-/// memory system reports a write into the watched text range.
+/// `uop(pc)` is the simulator's fetch for text it has not seen written:
+/// once the memory system reports a write into the watched text range,
+/// the executor stops consulting the table and decodes fetched words.
 #[derive(Debug, Clone)]
 pub struct TranslatedProgram {
     base: u32,
     uops: Vec<Option<Uop>>,
-    blocks: Blocks,
 }
 
 impl TranslatedProgram {
-    /// Translates every basic block of `program`'s text section.
+    /// Decodes every word of `program`'s text section into a micro-op.
     pub fn translate(program: &Program) -> TranslatedProgram {
-        let view = ProgramView::decode(program);
-        let blocks = view.basic_blocks();
-        let mut uops: Vec<Option<Uop>> = vec![None; view.slots.len()];
-        // Per block, in text order; blocks partition the text, so every
-        // slot is visited exactly once.
-        for block in &blocks.blocks {
-            for idx in block.indices() {
-                let Some(instr) = view.slots[idx].instr else {
-                    continue;
-                };
-                let pc = view.pc(idx);
-                let target = match instr {
-                    // Exactly the execute stage's target arithmetic:
-                    // word-granular PC+1+offset, then back to bytes.
-                    Instr::Branch { offset, .. } => (pc / 4)
-                        .wrapping_add(1)
-                        .wrapping_add(offset as u32)
-                        .wrapping_mul(4),
-                    Instr::Jump { target } | Instr::Jal { target } => target.wrapping_mul(4),
-                    _ => pc.wrapping_add(4),
-                };
-                uops[idx] = Some(Uop {
-                    instr,
-                    cost: InstrCost::of(&instr),
-                    target,
-                });
-            }
-        }
+        let uops = program
+            .words
+            .iter()
+            .enumerate()
+            .map(|(i, &word)| {
+                let pc = program.base + 4 * i as u32;
+                Instr::decode(word).ok().map(|instr| Uop::new(pc, instr))
+            })
+            .collect();
         TranslatedProgram {
             base: program.base,
             uops,
-            blocks,
         }
     }
 
     /// The micro-op at byte address `pc`, or `None` when `pc` is
-    /// misaligned, outside the translated text, or an undecodable word
-    /// — all cases the executor must hand to the interpreter.
+    /// misaligned, outside the translated text, or an undecodable word.
     #[inline]
     pub fn uop(&self, pc: u32) -> Option<&Uop> {
         let off = pc.wrapping_sub(self.base);
@@ -118,11 +114,6 @@ impl TranslatedProgram {
     /// Whether the text section is empty.
     pub fn is_empty(&self) -> bool {
         self.uops.is_empty()
-    }
-
-    /// The basic-block partition the translation was built from.
-    pub fn blocks(&self) -> &Blocks {
-        &self.blocks
     }
 }
 
@@ -207,21 +198,5 @@ mod tests {
         assert!(t.uop(DEFAULT_TEXT_BASE + 4).is_none(), "undecodable");
         assert!(t.uop(DEFAULT_TEXT_BASE + 8).is_none(), "past text");
         assert!(t.uop(0).is_none(), "before text");
-    }
-
-    #[test]
-    fn blocks_partition_survives_translation() {
-        let t = translate(&[
-            Instr::Nop,
-            Instr::Branch {
-                cond: BranchCond::Eq,
-                rs1: IReg::new(0),
-                rs2: IReg::new(0),
-                offset: -2,
-            },
-            Instr::Halt,
-        ]);
-        assert_eq!(t.blocks().blocks.len(), 2);
-        assert_eq!(t.blocks().block_of.len(), t.len());
     }
 }

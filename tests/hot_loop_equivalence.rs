@@ -1,23 +1,24 @@
-//! Property: the hot-loop optimizations of the simulator are invisible.
+//! Property: the engine's hops and its translated table are invisible.
 //!
-//! PR 3 added two fast paths to `Machine::run`: a predecoded-text side
-//! table (skip `Instr::decode` on warm fetches) and quiescent fast-forward
-//! (jump `self.cycle` over provably idle spans, synthesizing the same
-//! per-cycle stall accounting the tick loop would have produced). This PR
-//! adds a third: the block-translated backend (`Backend::Xlate`), which
-//! executes whole basic blocks of pre-resolved micro-ops. All three are
-//! pure optimizations — this file proves it as a **three-way
-//! differential** (tick vs fast-forward vs xlate) over random programs
-//! that exercise every wait class: cold-fetch penalties, data-cache
-//! freezes, load/store port conflicts, FPU register interlocks, IR-busy
-//! vector transfers, branch bubbles, §2.3.1 overflow aborts, and
-//! self-modifying text. Abnormal exits landing mid-block — watchdog,
-//! cycle limit, external interrupt — must also agree, error for error.
+//! `Machine::run` has one execution engine, a micro-op loop (DESIGN.md
+//! §8). With an enabled event sink it steps every cycle and emits that
+//! cycle's events; without one (`NullSink`) it hops each multi-cycle wait
+//! — data-miss freeze, branch bubble, fetch penalty, interlock — in one
+//! jump, charging the skipped cycles' stall accounting in bulk. It fetches
+//! micro-ops from the translated table while the text is unwritten and
+//! decodes the fetched word otherwise. Both are pure optimizations; this
+//! file proves it as a **two-way differential** (hopped vs stepped, plus
+//! table vs decode per fetch) over random programs that exercise every
+//! wait class: cold-fetch penalties, data-cache freezes, load/store port
+//! conflicts, FPU register interlocks, IR-busy vector transfers, branch
+//! bubbles, §2.3.1 overflow aborts, and self-modifying text. Abnormal
+//! exits landing mid-hop — watchdog, cycle limit, external interrupt —
+//! must also agree, error for error.
 
 use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
-use multititan::sim::{Backend, Machine, Program, RunError, RunStats, SimConfig};
+use multititan::sim::{Machine, Program, RunError, RunStats, SimConfig};
 use multititan::trace::TraceEvent;
 use proptest::prelude::*;
 
@@ -35,41 +36,69 @@ struct Observed {
     fpu_stats: String,
 }
 
-/// Assembles and runs `instrs` with the given fast paths enabled,
-/// optionally recording the event stream.
-fn run_one(
-    instrs: &[Instr],
-    regs: &[u64],
-    backend: Backend,
-    fast_forward: bool,
-    predecode: bool,
-    record: bool,
-) -> (Observed, Vec<TraceEvent>) {
+/// How a run executes.
+#[derive(Debug, Clone, Copy)]
+struct Path {
+    /// Record the event stream, which makes the engine step every cycle;
+    /// otherwise it runs without a sink and hops.
+    stepped: bool,
+    /// Force the decode fallback on every fetch instead of the translated
+    /// table (see [`force_decode`]).
+    decode: bool,
+}
+
+const HOPPED: Path = Path {
+    stepped: false,
+    decode: false,
+};
+const STEPPED: Path = Path {
+    stepped: true,
+    decode: false,
+};
+
+/// Writes each text word's own value back: memory is unchanged, but the
+/// text has now been written, so every fetch decodes the word it reads.
+fn force_decode(m: &mut Machine, prog: &Program) {
+    for i in 0..prog.words.len() as u32 {
+        let addr = prog.base + 4 * i;
+        let word = m.mem.memory.read_u32(addr);
+        m.mem.memory.write_u32(addr, word);
+    }
+}
+
+/// Runs `m` to completion along `path`, returning the statistics and the
+/// recorded events (none for a hopped run).
+fn run_path(m: &mut Machine, path: Path) -> (Result<RunStats, RunError>, Vec<TraceEvent>) {
+    let mut events = Vec::new();
+    let outcome = if path.stepped {
+        m.run_with_sink(&mut events)
+    } else {
+        m.run()
+    };
+    (outcome, events)
+}
+
+/// Assembles and runs `instrs` along `path`, returning what it observed
+/// and the recorded events.
+fn run_one(instrs: &[Instr], regs: &[u64], path: Path) -> (Observed, Vec<TraceEvent>) {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
-        backend,
-        fast_forward,
         max_cycles: 1_000_000,
         ..SimConfig::default()
     });
     m.load_program(&prog);
-    if !predecode {
-        m.disable_predecode();
+    if path.decode {
+        force_decode(&mut m, &prog);
     }
     // Deliberately cold caches: the first trip through the text pays
     // instruction-buffer misses, the loads pay data misses — the spans
-    // fast-forward must reproduce cycle-for-cycle.
+    // hops must reproduce cycle-for-cycle.
     for (i, &bits) in regs.iter().enumerate() {
         m.fpu.write_reg_direct(FReg::new(i as u8), bits);
     }
     m.set_ireg(IReg::new(1), DATA_BASE);
-    let mut events = Vec::new();
-    let stats = if record {
-        m.run_with_sink(&mut events).unwrap()
-    } else {
-        m.run().unwrap()
-    };
-    (observe(&m, stats), events)
+    let (stats, events) = run_path(&mut m, path);
+    (observe(&m, stats.unwrap()), events)
 }
 
 fn observe(m: &Machine, stats: RunStats) -> Observed {
@@ -176,7 +205,7 @@ fn arb_regs() -> impl Strategy<Value = Vec<u64>> {
 
 /// Register images that drive the datapath into its corners: huge
 /// magnitudes (multiply overflow → the §2.3.1 abort squash, which the
-/// translated executor must replay element-for-element), tiny ones
+/// hopped run must replay element-for-element), tiny ones
 /// (underflow/denormals), infinities, and NaN.
 fn arb_regs_extreme() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(
@@ -203,22 +232,18 @@ struct Ended {
     psw: String,
 }
 
-/// Runs to completion or abnormal exit under `backend` with the given
-/// limits; abnormal exits land mid-program (and, under xlate,
-/// mid-block).
+/// Runs to completion or abnormal exit along `path` with the given
+/// limits; abnormal exits land mid-program (and, when hopped, mid-hop).
 fn run_to_end(
     instrs: &[Instr],
     regs: &[u64],
-    backend: Backend,
-    fast_forward: bool,
+    path: Path,
     max_cycles: u64,
     watchdog: u64,
     interrupt_after: Option<u64>,
 ) -> Ended {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
-        backend,
-        fast_forward,
         max_cycles,
         watchdog_cycles: watchdog,
         ..SimConfig::default()
@@ -231,7 +256,7 @@ fn run_to_end(
     if let Some(cycles) = interrupt_after {
         m.interrupt_after(cycles);
     }
-    let outcome = m.run();
+    let (outcome, _) = run_path(&mut m, path);
     Ended {
         outcome,
         cycle: m.snapshot().cycle(),
@@ -243,8 +268,8 @@ fn run_to_end(
 
 /// A self-modifying straight-line program: `pre` body, a store that
 /// patches the text word at `target` (an instruction between the store
-/// and the halt — the same basic block, so under xlate the write lands
-/// *inside the currently-executing translated span*), `post` body, halt.
+/// and the halt, so the write lands on text the engine is about to fetch
+/// from the translated table), `post` body, halt.
 /// Returns `(instrs, target_word_index, patch_word)`; the runner parks
 /// the patch word in `r10` and the text base in `r9`.
 fn arb_smc_case() -> impl Strategy<Value = (Vec<Instr>, usize, u32)> {
@@ -290,12 +315,11 @@ fn arb_smc_case() -> impl Strategy<Value = (Vec<Instr>, usize, u32)> {
         })
 }
 
-/// Runs one self-modifying-text case under `backend`.
-fn run_smc(instrs: &[Instr], regs: &[u64], patch_word: u32, backend: Backend) -> Observed {
+/// Runs one self-modifying-text case along `path`.
+fn run_smc(instrs: &[Instr], regs: &[u64], patch_word: u32, path: Path) -> Observed {
     use multititan::sim::DEFAULT_TEXT_BASE;
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
-        backend,
         max_cycles: 1_000_000,
         ..SimConfig::default()
     });
@@ -306,69 +330,66 @@ fn run_smc(instrs: &[Instr], regs: &[u64], patch_word: u32, backend: Backend) ->
     m.set_ireg(IReg::new(1), DATA_BASE);
     m.set_ireg(IReg::new(9), DEFAULT_TEXT_BASE as i32);
     m.set_ireg(IReg::new(10), patch_word as i32);
-    let stats = m.run().expect("straight-line SMC program must halt");
-    observe(&m, stats)
+    let (stats, _) = run_path(&mut m, path);
+    observe(&m, stats.expect("straight-line SMC program must halt"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast-forward jumps are invisible: statistics, stall accounting,
-    /// both register files, and the PSW match the tick-by-tick loop.
+    /// Hops are invisible: statistics, stall accounting, both register
+    /// files, and the PSW match the stepped run, and every hopped cycle
+    /// is attributed to a stall cause.
     #[test]
     fn fast_forward_equals_tick_by_tick(instrs in arb_program(), regs in arb_regs()) {
-        let (fast, _) = run_one(&instrs, &regs, Backend::Tick, true, true, false);
-        let (slow, _) = run_one(&instrs, &regs, Backend::Tick, false, true, false);
-        prop_assert_eq!(&fast, &slow);
+        let (hopped, _) = run_one(&instrs, &regs, HOPPED);
+        let (stepped, _) = run_one(&instrs, &regs, STEPPED);
+        prop_assert_eq!(&hopped, &stepped);
         prop_assert_eq!(
-            fast.stats.accounted_cycles(), fast.stats.cycles,
-            "every fast-forwarded cycle must be attributed to a stall cause"
+            hopped.stats.accounted_cycles(), hopped.stats.cycles,
+            "every hopped cycle must be attributed to a stall cause"
         );
     }
 
-    /// The predecoded side table is invisible, including to the event
-    /// stream (predecode stays active under a sink, so the recorded
-    /// per-cycle events must match the decode-every-fetch path exactly).
+    /// The translated table is invisible, including to the event stream:
+    /// fetching micro-ops from the table and decoding every fetched word
+    /// (forced by writing the text back) record the same per-cycle
+    /// events and end in the same state.
     #[test]
-    fn predecode_equals_decode_per_fetch(instrs in arb_program(), regs in arb_regs()) {
-        let (pre, pre_events) = run_one(&instrs, &regs, Backend::Tick, true, true, true);
-        let (slow, slow_events) = run_one(&instrs, &regs, Backend::Tick, true, false, true);
-        prop_assert_eq!(pre, slow);
-        prop_assert_eq!(pre_events, slow_events);
+    fn table_equals_decode_per_fetch(instrs in arb_program(), regs in arb_regs()) {
+        let (table, table_events) = run_one(&instrs, &regs, STEPPED);
+        let (decoded, decoded_events) = run_one(&instrs, &regs, Path { decode: true, ..STEPPED });
+        prop_assert_eq!(table, decoded);
+        prop_assert_eq!(table_events, decoded_events);
     }
 
-    /// The three-way differential: tick-by-tick, fast-forward, and the
-    /// block-translated backend agree bit for bit — statistics,
-    /// per-cause stall accounting, registers, PSW — and every cycle is
-    /// attributed to a cause.
+    /// Hopping through the table, hopping through the decode fallback,
+    /// and stepping agree bit for bit — statistics, per-cause stall
+    /// accounting, registers, PSW.
     #[test]
     fn xlate_equals_fast_forward_equals_tick(instrs in arb_program(), regs in arb_regs()) {
-        let (tick, _) = run_one(&instrs, &regs, Backend::Tick, false, false, false);
-        let (ff, _)   = run_one(&instrs, &regs, Backend::Tick, true, true, false);
-        let (xl, _)   = run_one(&instrs, &regs, Backend::Xlate, true, true, false);
-        prop_assert_eq!(&tick, &ff);
-        prop_assert_eq!(&tick, &xl);
-        prop_assert_eq!(
-            xl.stats.accounted_cycles(), xl.stats.cycles,
-            "xlate must attribute every cycle to a stall cause"
-        );
+        let (stepped, _) = run_one(&instrs, &regs, STEPPED);
+        let (table, _) = run_one(&instrs, &regs, HOPPED);
+        let (decoded, _) = run_one(&instrs, &regs, Path { decode: true, ..HOPPED });
+        prop_assert_eq!(&stepped, &table);
+        prop_assert_eq!(&stepped, &decoded);
     }
 
-    /// The same three-way agreement when the datapath hits its corners:
-    /// overflow (the §2.3.1 abort squashes the rest of the vector, and
-    /// the abort may land mid-block), underflow, infinities, NaN.
+    /// The same agreement when the datapath hits its corners: overflow
+    /// (the §2.3.1 abort squashes the rest of the vector, and the abort
+    /// may land inside a hop), underflow, infinities, NaN.
     #[test]
     fn overflow_abort_mid_block_agrees(instrs in arb_program(), regs in arb_regs_extreme()) {
-        let (tick, _) = run_one(&instrs, &regs, Backend::Tick, false, false, false);
-        let (xl, _)   = run_one(&instrs, &regs, Backend::Xlate, true, true, false);
-        prop_assert_eq!(&tick, &xl);
-        prop_assert_eq!(xl.stats.accounted_cycles(), xl.stats.cycles);
+        let (stepped, _) = run_one(&instrs, &regs, STEPPED);
+        let (hopped, _) = run_one(&instrs, &regs, HOPPED);
+        prop_assert_eq!(&stepped, &hopped);
+        prop_assert_eq!(hopped.stats.accounted_cycles(), hopped.stats.cycles);
     }
 
     /// Abnormal exits land identically: watchdog trips, cycle limits,
-    /// and external interrupts cut a translated span mid-block, and the
-    /// error (or the interrupt's clean halt), the final cycle, and the
-    /// architectural state must match the interpreter's exactly.
+    /// and external interrupts cut a hop short, and the error (or the
+    /// interrupt's clean halt), the final cycle, and the architectural
+    /// state must match the stepped run's exactly.
     #[test]
     fn mid_block_exits_agree(
         instrs in arb_program(),
@@ -377,34 +398,42 @@ proptest! {
         watchdog in 1u64..40,
         interrupt in prop_oneof![1 => Just(None), 3 => (3u64..300).prop_map(Some)],
     ) {
-        let tick = run_to_end(&instrs, &regs, Backend::Tick, false, max_cycles, watchdog, interrupt);
-        let ff = run_to_end(&instrs, &regs, Backend::Tick, true, max_cycles, watchdog, interrupt);
-        let xl = run_to_end(&instrs, &regs, Backend::Xlate, true, max_cycles, watchdog, interrupt);
-        prop_assert_eq!(&tick, &ff, "fast-forward diverged from tick at an abnormal exit");
-        prop_assert_eq!(&tick, &xl, "xlate diverged from tick at an abnormal exit");
+        let stepped = run_to_end(&instrs, &regs, STEPPED, max_cycles, watchdog, interrupt);
+        let hopped = run_to_end(&instrs, &regs, HOPPED, max_cycles, watchdog, interrupt);
+        prop_assert_eq!(&stepped, &hopped, "hopped diverged from stepped at an abnormal exit");
     }
 
-    /// Self-modifying text: a store that patches an instruction *later
-    /// in the same basic block* must take effect before that word's
-    /// next fetch — the translated span drops to the interpreter at the
-    /// write, never finishing the stale block image (satellite: the
-    /// write-watch is checked before every fetch, not at block
-    /// boundaries).
+    /// Self-modifying text: a store that patches an instruction later in
+    /// the program must take effect before that word's next fetch — the
+    /// write-watch is checked on every fetch, so the engine drops the
+    /// table at the write, hopped or stepped. Since the patched word is
+    /// first fetched after the store, the run ends exactly where the
+    /// program with the word patched before loading ends.
     #[test]
-    fn self_modifying_text_agrees((instrs, _target, patch) in arb_smc_case(), regs in arb_regs()) {
-        let tick = run_smc(&instrs, &regs, patch, Backend::Tick);
-        let xl = run_smc(&instrs, &regs, patch, Backend::Xlate);
-        prop_assert_eq!(&tick, &xl);
-        prop_assert_eq!(xl.stats.accounted_cycles(), xl.stats.cycles);
+    fn self_modifying_text_agrees((instrs, target, patch) in arb_smc_case(), regs in arb_regs()) {
+        let stepped = run_smc(&instrs, &regs, patch, STEPPED);
+        let hopped = run_smc(&instrs, &regs, patch, HOPPED);
+        prop_assert_eq!(&stepped, &hopped);
+        let mut prepatched = instrs.clone();
+        prepatched[target] = Instr::decode(patch).unwrap();
+        prop_assert_eq!(&run_smc(&prepatched, &regs, patch, HOPPED), &hopped);
+        prop_assert_eq!(hopped.stats.accounted_cycles(), hopped.stats.cycles);
     }
 
-    /// All four interpreter paths (predecode × fast-forward) agree on
-    /// statistics.
+    /// All four paths (table or decode × hopped or stepped) agree on the
+    /// outcome, and both stepped paths on the event stream.
     #[test]
     fn all_paths_agree(instrs in arb_program(), regs in arb_regs()) {
-        let (a, _) = run_one(&instrs, &regs, Backend::Tick, true, true, false);
-        let (b, _) = run_one(&instrs, &regs, Backend::Tick, false, false, false);
-        prop_assert_eq!(a, b);
+        let mut ended = Vec::new();
+        for stepped in [false, true] {
+            for decode in [false, true] {
+                ended.push(run_one(&instrs, &regs, Path { stepped, decode }));
+            }
+        }
+        for (observed, _) in &ended[1..] {
+            prop_assert_eq!(observed, &ended[0].0);
+        }
+        prop_assert_eq!(&ended[2].1, &ended[3].1);
     }
 }
 
@@ -425,7 +454,7 @@ fn differential_assertions_detect_single_field_mutations() {
         Instr::Halt,
     ];
     let regs: Vec<u64> = (0..52).map(|i| (i as f64).to_bits()).collect();
-    let (base, _) = run_one(&instrs, &regs, Backend::Xlate, true, true, false);
+    let (base, _) = run_one(&instrs, &regs, HOPPED);
 
     let mut cycles = base.clone();
     cycles.stats.cycles += 1;
@@ -453,30 +482,18 @@ fn differential_assertions_detect_single_field_mutations() {
 }
 
 /// The fixed corpus: every Livermore loop and every shipped example runs
-/// bit-identically under both backends, cold and warm.
+/// bit-identically hopped and stepped, cold and warm.
 #[test]
 fn corpus_is_bit_identical_across_backends() {
     use multititan::kernels::{harness, livermore};
     for n in 1..=24u8 {
         let kernel = livermore::by_number(n);
-        let tick = harness::run_kernel_with(
-            &kernel,
-            SimConfig {
-                backend: Backend::Tick,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        let xl = harness::run_kernel_with(
-            &kernel,
-            SimConfig {
-                backend: Backend::Xlate,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(tick.cold, xl.cold, "loop {n} cold");
-        assert_eq!(tick.warm, xl.warm, "loop {n} warm");
+        let hopped = harness::run_kernel_with(&kernel, SimConfig::default()).unwrap();
+        let stepped = harness::run_kernel_recorded(&kernel, SimConfig::default())
+            .unwrap()
+            .report;
+        assert_eq!(hopped.cold, stepped.cold, "loop {n} cold");
+        assert_eq!(hopped.warm, stepped.warm, "loop {n} warm");
     }
 
     for entry in std::fs::read_dir("examples/asm").unwrap() {
@@ -487,30 +504,26 @@ fn corpus_is_bit_identical_across_backends() {
         let src = std::fs::read_to_string(&path).unwrap();
         let program = multititan::asm::parse(&src, 0x1_0000).unwrap();
         let mut ended = Vec::new();
-        for backend in [Backend::Tick, Backend::Xlate] {
-            let mut m = Machine::new(SimConfig {
-                backend,
-                ..SimConfig::default()
-            });
+        for how in [HOPPED, STEPPED] {
+            let mut m = Machine::new(SimConfig::default());
             m.load_program(&program);
             m.warm_instructions(&program);
-            let stats = m
-                .run()
-                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let (stats, _) = run_path(&mut m, how);
+            let stats = stats.unwrap_or_else(|e| panic!("{}: {e}", path.display()));
             ended.push(observe(&m, stats));
         }
         assert_eq!(ended[0], ended[1], "{} diverged", path.display());
     }
 }
 
-/// A write into the text segment invalidates the predecode fast path: the
-/// fetch falls back to decoding the current memory word.
+/// A write into the text segment drops the translated table: the fetch
+/// decodes the current memory word instead.
 #[test]
 fn self_modifying_text_falls_back_to_slow_decode() {
     use multititan::sim::DEFAULT_TEXT_BASE;
     // Word 2 is a jump-to-self; the store ahead of it patches it to Halt.
-    // A fetch that trusted the stale predecoded table would spin to the
-    // cycle limit; the fallback decodes the patched word and halts.
+    // A fetch that trusted the stale table would spin to the cycle limit;
+    // the fallback decodes the patched word and halts.
     let halt_word = Instr::Halt.encode().unwrap();
     let prog = Program::assemble(&[
         Instr::Addi {
@@ -528,15 +541,14 @@ fn self_modifying_text_falls_back_to_slow_decode() {
         },
     ])
     .unwrap();
-    for backend in [Backend::Tick, Backend::Xlate] {
+    for path in [HOPPED, STEPPED] {
         let mut m = Machine::new(SimConfig {
-            backend,
             max_cycles: 100_000,
             ..SimConfig::default()
         });
         m.load_program(&prog);
         m.set_ireg(IReg::new(1), DEFAULT_TEXT_BASE as i32);
-        let stats = m.run().expect("patched text must halt");
-        assert!(stats.instructions >= 3);
+        let (stats, _) = run_path(&mut m, path);
+        assert!(stats.expect("patched text must halt").instructions >= 3);
     }
 }

@@ -6,11 +6,11 @@
 //!
 //! 1. **Default fidelity** — constructing the config explicitly
 //!    (`MachineConfig::multititan()`) is bit-identical to the implicit
-//!    default on every backend, for random programs and for the whole
+//!    default, hopped and stepped, for random programs and for the whole
 //!    Livermore corpus. The refactor changed no observable behavior.
 //! 2. **Off-default coherence** — a *non*-default configuration is
-//!    still one machine: tick, fast-forward, and the block-translated
-//!    backend agree bit for bit under random timing/cache knobs, and
+//!    still one machine: the engine's hopped and stepped runs agree bit
+//!    for bit under random timing/cache knobs, and
 //!    the knobs move performance in the physically sensible direction
 //!    (slower FPU ⇒ no faster warm loops; costlier misses ⇒ no faster
 //!    cold loops; more lanes ⇒ no slower warm loops).
@@ -23,7 +23,7 @@ use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
 use multititan::kernels::harness::run_kernel_with;
 use multititan::kernels::livermore;
-use multititan::sim::{Backend, Machine, MachineConfig, Program, RunStats, SimConfig, KNOB_NAMES};
+use multititan::sim::{Machine, MachineConfig, Program, RunStats, SimConfig, KNOB_NAMES};
 use proptest::prelude::*;
 
 const DATA_BASE: i32 = 0x2000;
@@ -168,71 +168,62 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Default fidelity on random programs: the explicit paper config is
-    /// bit-identical to the implicit default on all three backends.
+    /// bit-identical to the implicit default, hopped and stepped.
     #[test]
     fn explicit_default_equals_implicit_default(
         instrs in arb_program(),
         regs in arb_regs(),
     ) {
-        for backend in [Backend::Tick, Backend::Xlate] {
-            for fast_forward in [false, true] {
-                let implicit = run_one(&instrs, &regs, SimConfig {
-                    backend,
-                    fast_forward,
-                    max_cycles: 1_000_000,
-                    ..SimConfig::default()
-                });
-                let explicit = run_one(&instrs, &regs, SimConfig {
-                    backend,
-                    fast_forward,
-                    max_cycles: 1_000_000,
-                    machine: MachineConfig::multititan(),
-                    ..SimConfig::default()
-                });
-                prop_assert_eq!(
-                    &implicit, &explicit,
-                    "explicit multititan() diverged ({:?}, ff={})",
-                    backend, fast_forward
-                );
-            }
+        for stepped in [false, true] {
+            let implicit = run_one(&instrs, &regs, SimConfig {
+                trace: stepped,
+                max_cycles: 1_000_000,
+                ..SimConfig::default()
+            });
+            let explicit = run_one(&instrs, &regs, SimConfig {
+                trace: stepped,
+                max_cycles: 1_000_000,
+                machine: MachineConfig::multititan(),
+                ..SimConfig::default()
+            });
+            prop_assert_eq!(
+                &implicit, &explicit,
+                "explicit multititan() diverged (stepped={})", stepped
+            );
         }
     }
 
-    /// Off-default coherence: under a random valid configuration, tick,
-    /// fast-forward, and the block-translated backend are still one
-    /// machine — statistics, stall accounting, registers, PSW — and
-    /// every cycle is attributed to a cause.
+    /// Off-default coherence: under a random valid configuration — with
+    /// checked ordering, serialized issue and full-range interlocks drawn
+    /// too — the hopped and the stepped run are still one machine:
+    /// statistics, stall accounting, ordering violations, registers,
+    /// PSW; and every cycle is attributed to a cause.
     #[test]
     fn random_configs_are_backend_invariant(
         instrs in arb_program(),
         regs in arb_regs(),
         machine in arb_machine(),
+        (checked_ordering, serialized_issue, full_range_interlock) in
+            (any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
-        let tick = run_one(&instrs, &regs, SimConfig {
-            backend: Backend::Tick,
-            fast_forward: false,
+        let config = |trace| SimConfig {
+            trace,
             max_cycles: 1_000_000,
             machine,
+            checked_ordering,
+            serialized_issue,
+            full_range_interlock,
             ..SimConfig::default()
-        });
-        let ff = run_one(&instrs, &regs, SimConfig {
-            backend: Backend::Tick,
-            fast_forward: true,
-            max_cycles: 1_000_000,
-            machine,
-            ..SimConfig::default()
-        });
-        let xl = run_one(&instrs, &regs, SimConfig {
-            backend: Backend::Xlate,
-            fast_forward: true,
-            max_cycles: 1_000_000,
-            machine,
-            ..SimConfig::default()
-        });
-        prop_assert_eq!(&tick, &ff, "fast-forward diverged under {}", machine.key_material());
-        prop_assert_eq!(&tick, &xl, "xlate diverged under {}", machine.key_material());
+        };
+        let hopped = run_one(&instrs, &regs, config(false));
+        let stepped = run_one(&instrs, &regs, config(true));
         prop_assert_eq!(
-            tick.stats.accounted_cycles(), tick.stats.cycles,
+            &hopped, &stepped,
+            "hopped diverged from stepped under {} (checked={}, serialized={}, full_range={})",
+            machine.key_material(), checked_ordering, serialized_issue, full_range_interlock
+        );
+        prop_assert_eq!(
+            hopped.stats.accounted_cycles(), hopped.stats.cycles,
             "unattributed cycles under {}", machine.key_material()
         );
     }
@@ -240,16 +231,16 @@ proptest! {
 
 /// Default fidelity on the corpus: every Livermore loop reports the same
 /// cold and warm statistics under the explicit paper config as under the
-/// implicit default, on both execution backends.
+/// implicit default, hopped and stepped.
 #[test]
 fn corpus_default_config_is_bit_identical() {
     for n in 1..=24u8 {
         let kernel = livermore::by_number(n);
-        for backend in [Backend::Tick, Backend::Xlate] {
+        for stepped in [false, true] {
             let implicit = run_kernel_with(
                 &kernel,
                 SimConfig {
-                    backend,
+                    trace: stepped,
                     ..SimConfig::default()
                 },
             )
@@ -257,21 +248,27 @@ fn corpus_default_config_is_bit_identical() {
             let explicit = run_kernel_with(
                 &kernel,
                 SimConfig {
-                    backend,
+                    trace: stepped,
                     machine: MachineConfig::multititan(),
                     ..SimConfig::default()
                 },
             )
             .unwrap();
-            assert_eq!(implicit.cold, explicit.cold, "loop {n} cold ({backend:?})");
-            assert_eq!(implicit.warm, explicit.warm, "loop {n} warm ({backend:?})");
+            assert_eq!(
+                implicit.cold, explicit.cold,
+                "loop {n} cold (stepped={stepped})"
+            );
+            assert_eq!(
+                implicit.warm, explicit.warm,
+                "loop {n} warm (stepped={stepped})"
+            );
         }
     }
 }
 
-/// A second issue lane is the same machine everywhere: tick and xlate
-/// agree bit for bit at `fpu_lanes=2` on the corpus, and the extra lane
-/// never slows a warm loop down.
+/// A second issue lane is the same machine everywhere: hopped and stepped
+/// runs agree bit for bit at `fpu_lanes=2` on the corpus, and the extra
+/// lane never slows a warm loop down.
 #[test]
 fn corpus_lanes_2_is_backend_invariant_and_never_slower() {
     let mut machine = MachineConfig::multititan();
@@ -279,31 +276,30 @@ fn corpus_lanes_2_is_backend_invariant_and_never_slower() {
     for n in 1..=24u8 {
         let kernel = livermore::by_number(n);
         let base = run_kernel_with(&kernel, SimConfig::default()).unwrap();
-        let tick = run_kernel_with(
-            &kernel,
-            SimConfig {
-                backend: Backend::Tick,
-                machine,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        let xl = run_kernel_with(
-            &kernel,
-            SimConfig {
-                backend: Backend::Xlate,
-                machine,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(tick.cold, xl.cold, "loop {n} cold diverged at lanes=2");
-        assert_eq!(tick.warm, xl.warm, "loop {n} warm diverged at lanes=2");
+        let [hopped, stepped] = [false, true].map(|trace| {
+            run_kernel_with(
+                &kernel,
+                SimConfig {
+                    trace,
+                    machine,
+                    ..SimConfig::default()
+                },
+            )
+            .unwrap()
+        });
+        assert_eq!(
+            hopped.cold, stepped.cold,
+            "loop {n} cold diverged at lanes=2"
+        );
+        assert_eq!(
+            hopped.warm, stepped.warm,
+            "loop {n} warm diverged at lanes=2"
+        );
         assert!(
-            tick.warm.cycles <= base.warm.cycles,
+            hopped.warm.cycles <= base.warm.cycles,
             "loop {n}: a second lane made the warm loop slower \
              ({} > {} cycles)",
-            tick.warm.cycles,
+            hopped.warm.cycles,
             base.warm.cycles
         );
     }
@@ -406,8 +402,8 @@ proptest! {
 
     /// `?config=` is untrusted service input: `MachineConfig::parse`
     /// never panics on random or mutated strings, whatever it accepts
-    /// validates, and an accepted config survives its own canonical
-    /// serialization.
+    /// validates, survives its own canonical serialization, and builds
+    /// a machine (every allocation a config sizes is bounded).
     #[test]
     fn config_parse_never_panics(
         parts in prop::collection::vec(arb_config_part(), 0..8),
@@ -429,6 +425,10 @@ proptest! {
         if let Ok(config) = MachineConfig::parse(&spec) {
             prop_assert_eq!(config.validate(), Ok(()));
             prop_assert_eq!(MachineConfig::parse(&config.key_material()), Ok(config));
+            Machine::new(SimConfig {
+                machine: config,
+                ..SimConfig::default()
+            });
         }
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! 1. pausing a run at an arbitrary cycle and resuming reaches the same
 //!    final state (registers, PSW, statistics counters, event stream)
-//!    as the uninterrupted run — under both the tick loop and the
-//!    fast-forward path (which must clamp its jumps to the pause point);
+//!    as the uninterrupted run — whether the engine steps every cycle or
+//!    hops its waits (a hop must clamp to the pause point);
 //! 2. restoring a snapshot is a true rewind: two resumes from the same
 //!    snapshot produce identical `RunStats` and identical final state;
 //! 3. the whole round-trip holds over random programs covering every
@@ -21,7 +21,7 @@ use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr, DEFAULT_TEXT_BASE};
 use multititan::mem::Memory;
-use multititan::sim::{ArchState, Machine, Program, SimConfig};
+use multititan::sim::{ArchState, Machine, Program, RunStats, SimConfig};
 use multititan::trace::TraceEvent;
 use proptest::prelude::*;
 
@@ -51,10 +51,12 @@ fn observe(m: &Machine) -> Final {
 }
 
 /// Builds a cold machine with the program loaded and inputs written.
-fn fresh(instrs: &[Instr], regs: &[u64], fast_forward: bool) -> Machine {
+/// `stepped` records every run's events (`SimConfig::trace`), which makes
+/// the engine step every cycle instead of hopping.
+fn fresh(instrs: &[Instr], regs: &[u64], stepped: bool) -> Machine {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
-        fast_forward,
+        trace: stepped,
         max_cycles: 1_000_000,
         ..SimConfig::default()
     });
@@ -64,6 +66,17 @@ fn fresh(instrs: &[Instr], regs: &[u64], fast_forward: bool) -> Machine {
     }
     m.set_ireg(IReg::new(1), DATA_BASE);
     m
+}
+
+/// [`Machine::run_until`], stepped (recording into a throwaway sink) or
+/// hopped.
+fn run_until(m: &mut Machine, stop: u64, stepped: bool) -> Option<RunStats> {
+    if stepped {
+        m.run_until_with_sink(stop, &mut Vec::new())
+    } else {
+        m.run_until(stop)
+    }
+    .unwrap()
 }
 
 /// One random body instruction (same coverage as the hot-loop
@@ -194,23 +207,23 @@ proptest! {
 
     /// Pausing at an arbitrary cycle, snapshotting, resuming — and
     /// rewinding to resume a second time — all reach the uninterrupted
-    /// run's exact final state, under tick and fast-forward execution.
+    /// run's exact final state, stepped or hopped.
     #[test]
     fn pause_snapshot_resume_is_invisible(
         instrs in arb_program(),
         regs in arb_regs(),
         quarter in 1u64..4,
-        ff in any::<bool>(),
+        stepped in any::<bool>(),
     ) {
         // Uninterrupted reference.
-        let mut whole = fresh(&instrs, &regs, ff);
+        let mut whole = fresh(&instrs, &regs, stepped);
         let whole_stats = whole.run().unwrap();
         let reference = observe(&whole);
         let stop = whole_stats.cycles * quarter / 4;
 
         // Paused run: stop mid-flight, snapshot, resume.
-        let mut m = fresh(&instrs, &regs, ff);
-        match m.run_until(stop).unwrap() {
+        let mut m = fresh(&instrs, &regs, stepped);
+        match run_until(&mut m, stop, stepped) {
             // `stop` landed inside the final drain span, which never
             // pauses; the completed run must already match.
             Some(_) => prop_assert_eq!(observe(&m), reference),
@@ -230,7 +243,7 @@ proptest! {
         }
     }
 
-    /// With a sink attached (tick loop, events recorded), the pause is
+    /// With a sink attached (stepped, events recorded), the pause is
     /// invisible to the event stream too: first-leg events plus
     /// second-leg events equal the uninterrupted stream exactly.
     #[test]
@@ -273,12 +286,12 @@ proptest! {
         instrs in arb_program(),
         regs in arb_regs(),
         quarter in 0u64..4,
-        ff in any::<bool>(),
+        stepped in any::<bool>(),
         rounds in prop::collection::vec(arb_round(), 1..8),
     ) {
-        let mut m = fresh(&instrs, &regs, ff);
+        let mut m = fresh(&instrs, &regs, stepped);
         let cycles = m.clone().run().unwrap().cycles;
-        let _ = m.run_until(cycles * quarter / 4).unwrap();
+        let _ = run_until(&mut m, cycles * quarter / 4, stepped);
         let paused = (m.clone(), m.snapshot());
         m.run().unwrap();
         let halted = (m.clone(), m.snapshot());
@@ -320,7 +333,7 @@ fn restore_to_cycle_zero_reruns_identically() {
         Instr::Halt,
     ];
     let regs: Vec<u64> = (0..52).map(|i| (i as f64).to_bits()).collect();
-    let mut m = fresh(&instrs, &regs, true);
+    let mut m = fresh(&instrs, &regs, false);
     let base = m.snapshot();
     assert_eq!(base.cycle(), 0);
     let first = m.run().unwrap();
