@@ -156,7 +156,7 @@ fn drain_smoke(json: bool) {
             let addr = addr.clone();
             std::thread::spawn(move || {
                 let source = format!("li r9, {i}\nspin:\nbeq r0, r0, spin\nhalt\n");
-                httpc::post(&addr, "/run?cycles=4000000000", source.as_bytes())
+                httpc::post(&addr, "/run?cycles=4000000000", "chaos", source.as_bytes())
             })
         })
         .collect();

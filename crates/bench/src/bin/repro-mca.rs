@@ -88,7 +88,7 @@ fn tally(results: &[KernelAnalysis]) -> Tally {
 
 fn main() {
     let suite = kernel_suite();
-    let results: Vec<KernelAnalysis> = mt_bench::sweep::sweep(&suite, analyze);
+    let results: Vec<KernelAnalysis> = mt_dse::sweep::sweep(&suite, analyze);
     let t = tally(&results);
 
     if std::env::args().any(|a| a == "--json") {

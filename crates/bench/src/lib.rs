@@ -10,10 +10,6 @@
 
 pub mod fault;
 pub mod json;
-// The parallel sweep driver moved down to `mt-dse` (the dse engine sits
-// below the bench layer); re-exported so every `mt_bench::sweep::sweep`
-// caller keeps compiling unchanged.
-pub use mt_dse::sweep;
 
 use mt_kernels::{harness, livermore, Kernel, KernelReport};
 use mt_sim::SimConfig;
@@ -40,11 +36,12 @@ pub fn livermore_mflops() -> Vec<(u8, f64, f64)> {
 }
 
 /// All 24 Livermore loop reports under the default configuration,
-/// simulated in parallel (deterministic input order, as [`sweep::sweep`]
-/// guarantees — `BENCH_sim.json` is built from this).
+/// simulated in parallel (deterministic input order, as
+/// [`mt_dse::sweep::sweep`] guarantees — `BENCH_sim.json` is built from
+/// this).
 pub fn livermore_reports() -> Vec<KernelReport> {
     let loops: Vec<u8> = (1..=24).collect();
-    sweep::sweep(&loops, |&n| run(&livermore::by_number(n)))
+    mt_dse::sweep::sweep(&loops, |&n| run(&livermore::by_number(n)))
 }
 
 /// Formats one row of a fixed-width table.

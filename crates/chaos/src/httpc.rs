@@ -1,12 +1,18 @@
-//! A minimal raw-TCP HTTP/1.1 client for the chaos harness.
+//! The workspace's one HTTP/1.1 client, over raw TCP.
 //!
-//! Hand-rolled like the server and `mtasm client`: the workspace takes
-//! no dependencies, and chaos scenarios *need* byte-level control of
-//! the socket (torn heads, half-closes, mid-body disconnects) that a
-//! real client library would hide. Writes are deliberately tolerant —
-//! an overloaded or draining server may answer and close before it
-//! reads the request, so a failed `write` with a valid response already
-//! on the wire is a success, not an error.
+//! Three kinds of caller share it: the chaos harness, which *needs*
+//! byte-level control of the socket (torn heads, half-closes, mid-body
+//! disconnects) and so also uses [`connect`] and [`read_reply`] on their
+//! own; the `mtasm client` load generator; and mt-serve's end-to-end
+//! tests. It is hand-rolled like the server because the workspace takes
+//! no dependencies. Every request is one `Connection: close` exchange on
+//! a fresh connection — the server answers that way, so there is no
+//! keep-alive to reuse.
+//!
+//! Writes are deliberately tolerant: an overloaded or draining server
+//! may answer and close before it reads the request, so a failed `write`
+//! with a valid response already on the wire is a success, not an error.
+//! Failures are split by whether the request went out ([`HttpError`]).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -16,53 +22,88 @@ use mt_trace::json::{self, Json};
 
 /// Socket-level timeout for every read and write. Generous: this is a
 /// hang backstop, not a latency assertion.
-const IO_TIMEOUT: Duration = Duration::from_secs(20);
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// One parsed response.
 #[derive(Debug)]
 pub struct Reply {
+    /// HTTP status code.
     pub status: u16,
+    /// The `X-Cache` header value (`hit` / `miss`), when present.
+    pub cache: Option<String>,
+    /// The body (lossily decoded as UTF-8).
     pub body: String,
 }
 
+/// Why a request got no reply. A connection that died (or short-read)
+/// *after* the request went out is a different signal — usually a
+/// server-side drop defense or a crash — than never reaching the server.
+#[derive(Debug)]
+pub enum HttpError {
+    /// Connect/setup failed; the request was never sent.
+    Connect(String),
+    /// The request was sent (or the server dropped us) but the reply
+    /// never fully arrived.
+    Disconnect(String),
+}
+
+impl std::fmt::Display for HttpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HttpError::Connect(m) | HttpError::Disconnect(m) => f.write_str(m),
+        }
+    }
+}
+
+impl From<HttpError> for String {
+    fn from(e: HttpError) -> String {
+        e.to_string()
+    }
+}
+
 /// Connects with both timeouts armed.
-pub fn connect(addr: &str) -> Result<TcpStream, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    stream
-        .set_read_timeout(Some(IO_TIMEOUT))
-        .map_err(|e| e.to_string())?;
-    stream
-        .set_write_timeout(Some(IO_TIMEOUT))
-        .map_err(|e| e.to_string())?;
+pub fn connect(addr: &str) -> Result<TcpStream, HttpError> {
+    let setup = |e: std::io::Error| HttpError::Connect(format!("connect {addr}: {e}"));
+    let stream = TcpStream::connect(addr).map_err(setup)?;
+    stream.set_read_timeout(Some(IO_TIMEOUT)).map_err(setup)?;
+    stream.set_write_timeout(Some(IO_TIMEOUT)).map_err(setup)?;
     Ok(stream)
 }
 
-/// Reads a status line, headers, and `Content-Length` body from a
-/// stream the request has already been written to.
-pub fn read_reply(stream: TcpStream) -> Result<Reply, String> {
+/// Reads a status line, headers, and `Content-Length` body (or, with no
+/// length, everything up to the close) from a stream the request has
+/// already been written to.
+pub fn read_reply(stream: TcpStream) -> Result<Reply, HttpError> {
+    let gone = |what: &str, e: String| HttpError::Disconnect(format!("short read: {what}: {e}"));
     let mut reader = BufReader::new(stream);
     let mut status_line = String::new();
     reader
         .read_line(&mut status_line)
-        .map_err(|e| format!("read status: {e}"))?;
+        .map_err(|e| gone("status line", e.to_string()))?;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad status line `{}`", status_line.trim_end()))?;
+        .ok_or_else(|| gone("status line", format!("{:?}", status_line.trim_end())))?;
+    let mut cache = None;
     let mut content_length = None;
     loop {
         let mut line = String::new();
         reader
             .read_line(&mut line)
-            .map_err(|e| format!("read header: {e}"))?;
+            .map_err(|e| gone("header", e.to_string()))?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
         }
         if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse::<usize>().ok();
+            match name.trim().to_ascii_lowercase().as_str() {
+                "x-cache" => cache = Some(value.trim().to_string()),
+                "content-length" => {
+                    let n = value.trim().parse::<usize>();
+                    content_length = Some(n.map_err(|e| gone("content-length", e.to_string()))?);
+                }
+                _ => {}
             }
         }
     }
@@ -70,48 +111,52 @@ pub fn read_reply(stream: TcpStream) -> Result<Reply, String> {
     match content_length {
         Some(n) => {
             body.resize(n, 0);
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| format!("read body: {e}"))?;
+            reader.read_exact(&mut body)
         }
-        None => {
-            reader
-                .read_to_end(&mut body)
-                .map_err(|e| format!("read body: {e}"))?;
-        }
+        None => reader.read_to_end(&mut body).map(drop),
     }
+    .map_err(|e| gone("body", e.to_string()))?;
     Ok(Reply {
         status,
+        cache,
         body: String::from_utf8_lossy(&body).into_owned(),
     })
 }
 
-/// One `GET` over a fresh connection.
-pub fn get(addr: &str, target: &str) -> Result<Reply, String> {
+/// One request over a fresh connection, tagged with `client_id` in
+/// `X-Client-Id` (the server's fairness key). Write errors are tolerated
+/// (see the module doc); only a missing or unreadable *response* after
+/// the connect is a [`HttpError::Disconnect`].
+fn request(
+    addr: &str,
+    method: &str,
+    target: &str,
+    client_id: &str,
+    body: &[u8],
+) -> Result<Reply, HttpError> {
     let stream = connect(addr)?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-    write!(
-        writer,
-        "GET {target} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n"
-    )
-    .map_err(|e| format!("write: {e}"))?;
-    read_reply(stream)
-}
-
-/// One `POST` over a fresh connection. Write errors are tolerated (see
-/// the module doc); only a missing/unreadable *response* is an error.
-pub fn post(addr: &str, target: &str, body: &[u8]) -> Result<Reply, String> {
-    let stream = connect(addr)?;
-    let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
+    let mut writer = stream
+        .try_clone()
+        .map_err(|e| HttpError::Connect(e.to_string()))?;
     let _ = write!(
         writer,
-        "POST {target} HTTP/1.1\r\nHost: {addr}\r\nX-Client-Id: chaos\r\n\
+        "{method} {target} HTTP/1.1\r\nHost: {addr}\r\nX-Client-Id: {client_id}\r\n\
          Content-Type: text/plain\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
     let _ = writer.write_all(body);
     let _ = writer.flush();
     read_reply(stream)
+}
+
+/// One `GET` (client id `probe`).
+pub fn get(addr: &str, target: &str) -> Result<Reply, HttpError> {
+    request(addr, "GET", target, "probe", b"")
+}
+
+/// One `POST` of `body` on behalf of `client_id`.
+pub fn post(addr: &str, target: &str, client_id: &str, body: &[u8]) -> Result<Reply, HttpError> {
+    request(addr, "POST", target, client_id, body)
 }
 
 /// Fetches and parses the `/metrics` JSON document.

@@ -28,6 +28,9 @@
 //!
 //! Drive it with `repro-chaos` (spawns an in-process hooked server) or
 //! `mtasm chaos --url ...` (attacks a server you already run).
+//!
+//! The crate also hosts [`httpc`], the workspace's one HTTP client,
+//! which `mtasm client` and mt-serve's end-to-end tests use too.
 
 pub mod campaign;
 pub mod httpc;

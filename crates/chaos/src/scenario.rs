@@ -15,7 +15,7 @@ use std::net::Shutdown;
 
 use mt_fault::SplitMix64;
 
-use crate::httpc::{self, Reply};
+use crate::httpc::{self, HttpError, Reply};
 use crate::{ChaosConfig, KILL_MARKER, PANIC_MARKER};
 
 /// One kind of injected trouble.
@@ -157,10 +157,10 @@ fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     // threads spawn so the RNG consumption stays deterministic.
     let width = 4 + rng.below(6) as usize;
     let sources: Vec<String> = (0..width).map(|_| tagged_source(rng)).collect();
-    let replies: Vec<Result<Reply, String>> = std::thread::scope(|scope| {
+    let replies: Vec<Result<Reply, HttpError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = sources
             .iter()
-            .map(|src| scope.spawn(|| httpc::post(&cfg.addr, "/run", src.as_bytes())))
+            .map(|src| scope.spawn(|| httpc::post(&cfg.addr, "/run", "chaos", src.as_bytes())))
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
@@ -171,7 +171,7 @@ fn burst(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
         match reply {
             Ok(r) if matches!(r.status, 200 | 429 | 503) => {}
             Ok(r) => bad.push(format!("status {}", r.status)),
-            Err(e) => bad.push(e.clone()),
+            Err(e) => bad.push(e.to_string()),
         }
     }
     ScenarioOutcome::plain(
@@ -290,7 +290,7 @@ fn slow_loris(cfg: &ChaosConfig) -> ScenarioOutcome {
 
 fn panic_job(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = format!("; {PANIC_MARKER}\n{}", tagged_source(rng));
-    match httpc::post(&cfg.addr, "/run", source.as_bytes()) {
+    match httpc::post(&cfg.addr, "/run", "chaos", source.as_bytes()) {
         Ok(r) if r.status == 500 && r.body.contains("worker-panic") => ScenarioOutcome {
             ok: true,
             note: "500 worker-panic, machine quarantined".to_string(),
@@ -307,7 +307,7 @@ fn panic_job(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
 
 fn kill_worker(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     let source = format!("; {KILL_MARKER}\n{}", tagged_source(rng));
-    match httpc::post(&cfg.addr, "/run", source.as_bytes()) {
+    match httpc::post(&cfg.addr, "/run", "chaos", source.as_bytes()) {
         Ok(r) if r.status == 500 && r.body.contains("worker-lost") => ScenarioOutcome {
             ok: true,
             note: "500 worker-lost, supervisor owes a respawn".to_string(),
@@ -327,7 +327,7 @@ fn deadline_shed(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome {
     // admission (or at dequeue) with a structured 503 and must never
     // produce a result.
     let source = tagged_source(rng);
-    match httpc::post(&cfg.addr, "/run?deadline-ms=0", source.as_bytes()) {
+    match httpc::post(&cfg.addr, "/run?deadline-ms=0", "chaos", source.as_bytes()) {
         Ok(r) if r.status == 503 && r.body.contains("deadline-exceeded") => {
             ScenarioOutcome::plain(true, "503 deadline-exceeded shed")
         }
@@ -342,7 +342,7 @@ fn deadline_mid_run(cfg: &ChaosConfig, rng: &mut SplitMix64) -> ScenarioOutcome 
     // long before the cycle limit.
     let source = spin_source(rng);
     let target = "/run?cycles=4000000000&deadline-ms=75";
-    match httpc::post(&cfg.addr, target, source.as_bytes()) {
+    match httpc::post(&cfg.addr, target, "chaos", source.as_bytes()) {
         Ok(r) if r.status == 503 && r.body.contains("deadline-exceeded") => {
             ScenarioOutcome::plain(true, "503 deadline-exceeded mid-run")
         }

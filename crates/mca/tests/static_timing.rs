@@ -17,7 +17,7 @@ use mt_isa::cpu::{AluOp, BranchCond};
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
 use mt_lint::cfg::ProgramView;
 use mt_mca::{loops, straight_line, Prediction, Skip};
-use mt_sim::{Machine, Program, RunStats, SimConfig};
+use mt_sim::{Machine, MachineConfig, Program, RunStats, SimConfig};
 use mt_trace::{Profiler, TraceEvent};
 use proptest::prelude::*;
 
@@ -29,10 +29,17 @@ const FP_BASES: [u8; 2] = [1, 2];
 const INT_BASES: [u8; 2] = [3, 4];
 const REGION: [(u8, i32); 4] = [(1, 0x2000), (2, 0x3000), (3, 0x4000), (4, 0x5000)];
 
-/// Runs `prog` with the §3.2 protocol (cold pass, then warm rerun) and
-/// returns the warm statistics plus the warm event stream.
-fn warm_run(prog: &Program) -> (RunStats, Vec<TraceEvent>) {
-    let mut m = Machine::new(SimConfig::default());
+/// Runs `prog` with the §3.2 protocol (cold pass, then warm rerun) on a
+/// machine with the given issue timing and returns the warm statistics
+/// plus the warm event stream.
+fn warm_run(prog: &Program, timing: IssueTiming) -> (RunStats, Vec<TraceEvent>) {
+    let mut m = Machine::new(SimConfig {
+        machine: MachineConfig {
+            timing,
+            ..MachineConfig::default()
+        },
+        ..SimConfig::default()
+    });
     m.load_program(prog);
     for (r, addr) in REGION {
         m.set_ireg(IReg::new(r), addr);
@@ -128,10 +135,14 @@ fn assert_exact(prog: &Program, warm: &RunStats, events: &[TraceEvent], pred: &P
 }
 
 fn check_program(instrs: Vec<Instr>) {
+    check_program_under(instrs, IssueTiming::multititan());
+}
+
+fn check_program_under(instrs: Vec<Instr>, timing: IssueTiming) {
     let prog = Program::assemble(&instrs).expect("generated instructions encode");
-    let (warm, events) = warm_run(&prog);
+    let (warm, events) = warm_run(&prog, timing);
     let view = ProgramView::decode(&prog);
-    let pred = straight_line(&view, IssueTiming::multititan()).expect("straight-line");
+    let pred = straight_line(&view, timing).expect("straight-line");
     assert_exact(&prog, &warm, &events, &pred);
 }
 
@@ -354,6 +365,40 @@ proptest! {
         let mut instrs = body;
         instrs.push(Instr::Halt);
         check_program(instrs);
+    }
+}
+
+/// A random issue timing inside the ranges the design-space sweeps use.
+fn gen_timing() -> impl Strategy<Value = IssueTiming> {
+    (1u64..=5, 1u64..=3, (1u64..=3, 1u64..=3), 0u64..=3, 0u64..=3).prop_map(
+        |(fpu_latency, fpu_lanes, (load_port_cycles, store_port_cycles), int_ld, branch)| {
+            IssueTiming {
+                fpu_latency,
+                fpu_lanes,
+                load_port_cycles,
+                store_port_cycles,
+                int_load_delay_cycles: int_ld,
+                branch_penalty: branch,
+            }
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+
+    /// The abstract machine is the simulator's at *any* issue timing,
+    /// not just the paper's: the prediction under a random
+    /// `IssueTiming` equals the warm run of a machine configured with
+    /// the same timing.
+    #[test]
+    fn straight_line_prediction_is_bit_identical_under_random_timing(
+        body in prop::collection::vec(gen_instr(), 1..100),
+        timing in gen_timing(),
+    ) {
+        let mut instrs = body;
+        instrs.push(Instr::Halt);
+        check_program_under(instrs, timing);
     }
 }
 

@@ -14,8 +14,8 @@ use mt_asm::{parse_with_source_map, PlainDiagnostic, SourceMap};
 use mt_dse::runner::{CellResult, CellSpec};
 use mt_lint::{lint_program_with, LintOptions, Severity};
 use mt_sim::json::stats_json;
-use mt_sim::{trace_lines, Machine, MachineConfig, Program, RunError, SimConfig};
-use mt_trace::{Json, Profiler, TraceEvent};
+use mt_sim::{trace_lines, Machine, MachineConfig, Program, RunControl, RunError, SimConfig};
+use mt_trace::{Json, NullSink, Profiler, TraceEvent};
 
 /// Virtual file name diagnostics carry (request bodies never live on
 /// disk).
@@ -70,8 +70,7 @@ pub struct RunOptions {
     pub lint: bool,
     /// Include the per-PC profile in the response.
     pub profile: bool,
-    /// Include the per-cycle trace log (truncated after
-    /// [`TRACE_MAX_LINES`] lines).
+    /// Include the per-cycle trace log (truncated after 2000 lines).
     pub trace: bool,
     /// Per-job cycle limit (0 = the simulator default).
     pub max_cycles: u64,
@@ -193,8 +192,8 @@ pub struct JobTiming {
 /// External control over one execution: the request's wall-clock
 /// deadline and the server's drain flag. Both are observed at
 /// [`CANCEL_CHECK_CYCLES`] checkpoints inside the simulator
-/// ([`mt_sim::Machine::run_cancellable`]); a job with neither runs on
-/// the plain uncheckpointed path and is bit-identical to [`execute`].
+/// ([`mt_sim::RunControl::cancel`]); a job with neither is never
+/// cancelled and is bit-identical to [`execute`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobControl<'a> {
     /// Absolute deadline from `?deadline-ms=`; expiry abandons the run
@@ -205,17 +204,25 @@ pub struct JobControl<'a> {
     pub cancel: Option<&'a AtomicBool>,
 }
 
-impl JobControl<'_> {
-    fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-}
-
 /// Why a controlled run was abandoned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum CancelKind {
     Deadline,
     Draining,
+}
+
+impl JobControl<'_> {
+    /// Whether the run must stop now, and why: the drain flag is checked
+    /// before the deadline.
+    fn cancelled(&self) -> Option<CancelKind> {
+        if self.cancel.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            Some(CancelKind::Draining)
+        } else if self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(CancelKind::Deadline)
+        } else {
+            None
+        }
+    }
 }
 
 /// Renders the structured 503 body for a shed or drain-cancelled
@@ -347,23 +354,19 @@ fn profile_json(events: &[TraceEvent]) -> Json {
 /// independent of whatever ran before (`tests/machine_reuse.rs` proves
 /// the recycling bit-identical).
 pub fn execute(job: &JobRequest, machine: &mut Machine) -> JobResult {
-    execute_timed(job, machine).0
+    execute_controlled(job, machine, &JobControl::default()).0
 }
 
-/// [`execute`] plus wall-clock timing of the simulation section, for
-/// the server's request spans and stage latency histograms.
-pub fn execute_timed(job: &JobRequest, machine: &mut Machine) -> (JobResult, JobTiming) {
-    execute_controlled(job, machine, &JobControl::default())
-}
-
-/// [`execute_timed`] under external control: the request deadline and
-/// the server drain flag are checked cooperatively inside the simulator
-/// every [`CANCEL_CHECK_CYCLES`] cycles; either firing abandons the run
-/// and returns a structured 503 (`deadline-exceeded` / `draining`).
-/// With an empty [`JobControl`] this is exactly [`execute_timed`] —
-/// checkpoint clamps are the proven `run_until` pause path, so an
-/// uncancelled controlled run stays bit-identical to an uncontrolled
-/// one (the `controlled_run_is_bit_identical` test holds it to that).
+/// [`execute`] under external control, plus wall-clock timing of the
+/// simulation section for the server's request spans and stage latency
+/// histograms. The request deadline and the server drain flag are
+/// checked cooperatively inside the simulator every
+/// [`CANCEL_CHECK_CYCLES`] cycles; either firing abandons the run and
+/// returns a structured 503 (`deadline-exceeded` / `draining`).
+/// Checkpoint clamps are the proven `run_until` pause path, so an
+/// uncancelled run is bit-identical to one without checkpoints (mt-sim's
+/// `cancellation_checkpoint_is_invisible_until_it_fires` test holds the
+/// simulator to that).
 pub fn execute_controlled(
     job: &JobRequest,
     machine: &mut Machine,
@@ -372,10 +375,8 @@ pub fn execute_controlled(
     let mut timing = JobTiming::default();
     // A deadline that already expired (burned in the queue, or between
     // pop and dispatch) sheds before touching the machine.
-    if let Some(d) = control.deadline {
-        if Instant::now() >= d {
-            return (cancel_result(CancelKind::Deadline), timing);
-        }
+    if control.deadline.is_some_and(|d| Instant::now() >= d) {
+        return (cancel_result(CancelKind::Deadline), timing);
     }
     if job.endpoint == Endpoint::Kernel {
         return execute_kernel_cell(job, control);
@@ -454,35 +455,24 @@ pub fn execute_controlled(
     if !job.options.cold {
         machine.warm_instructions(&program);
     }
-    let recording = job.options.profile || job.options.trace;
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut why: Option<CancelKind> = None;
     let mut check = || {
-        if let Some(flag) = control.cancel {
-            if flag.load(Ordering::Relaxed) {
-                why = Some(CancelKind::Draining);
-                return true;
-            }
-        }
-        if let Some(d) = control.deadline {
-            if Instant::now() >= d {
-                why = Some(CancelKind::Deadline);
-                return true;
-            }
-        }
-        false
+        why = control.cancelled();
+        why.is_some()
     };
-    let outcome = match (control.is_active(), recording) {
-        (false, false) => machine.run(),
-        (false, true) => machine.run_with_sink(&mut events),
-        (true, false) => machine.run_cancellable(CANCEL_CHECK_CYCLES, &mut check),
-        (true, true) => {
-            machine.run_cancellable_with_sink(&mut events, CANCEL_CHECK_CYCLES, &mut check)
-        }
+    let run = RunControl {
+        stop_at: None,
+        cancel: Some((CANCEL_CHECK_CYCLES, &mut check)),
+    };
+    let outcome = if job.options.profile || job.options.trace {
+        machine.run_with(&mut events, run)
+    } else {
+        machine.run_with(&mut NullSink, run)
     };
     timing.sim = Some((sim_start, sim_start.elapsed()));
     let stats = match outcome {
-        Ok(stats) => stats,
+        Ok(stats) => stats.expect("a run without a stop point always completes"),
         Err(RunError::Cancelled { .. }) => {
             let kind = why.expect("a cancelled run always records why");
             return (cancel_result(kind), timing);
@@ -563,16 +553,9 @@ fn execute_kernel_cell(job: &JobRequest, control: &JobControl) -> (JobResult, Jo
     let sim_start = Instant::now();
     let mut reports = Vec::with_capacity(loops.len());
     for &n in &loops {
-        if let Some(flag) = control.cancel {
-            if flag.load(Ordering::Relaxed) {
-                return (cancel_result(CancelKind::Draining), timing);
-            }
-        }
-        if let Some(d) = control.deadline {
-            if Instant::now() >= d {
-                timing.sim = Some((sim_start, sim_start.elapsed()));
-                return (cancel_result(CancelKind::Deadline), timing);
-            }
+        if let Some(kind) = control.cancelled() {
+            timing.sim = Some((sim_start, sim_start.elapsed()));
+            return (cancel_result(kind), timing);
         }
         let kernel = mt_kernels::livermore::by_number(n);
         let run = cell
@@ -939,10 +922,10 @@ halt
         assert_eq!(doc.get("kind").unwrap().as_str(), Some("machine-bounds"));
     }
 
-    /// A controlled run that is never cancelled must be bit-identical to
-    /// the plain path — deadlines may not perturb results (the cache
-    /// stores only uncancelled bodies, replayed for requests with any
-    /// deadline).
+    /// A run under a live deadline and drain flag that never fire must be
+    /// bit-identical to one under an empty control — deadlines may not
+    /// perturb results (the cache stores only uncancelled bodies,
+    /// replayed for requests with any deadline).
     #[test]
     fn controlled_run_is_bit_identical() {
         for options in [
@@ -959,7 +942,7 @@ halt
                 options,
             };
             let mut m = Machine::new(SimConfig::default());
-            let plain = execute_timed(&job, &mut m).0;
+            let plain = execute(&job, &mut m);
             let cancel = AtomicBool::new(false);
             let control = JobControl {
                 deadline: Some(Instant::now() + Duration::from_secs(600)),

@@ -42,7 +42,9 @@
 //! Responses carry `X-Cache: hit|miss`; bodies are byte-identical either
 //! way (`span_trace` is attached after the cache, never stored in it).
 //! Drive it with `mtasm client` (see the README's Serving section) or
-//! plain `curl`.
+//! plain `curl`. The workspace's own callers — `mtasm client`, the chaos
+//! harness and this crate's end-to-end tests — all speak to it through
+//! one client, `mt_chaos::httpc`.
 //!
 //! # Robustness (the mt-chaos work)
 //!
@@ -51,7 +53,7 @@
 //!   in the queue sheds the job at dequeue with a structured
 //!   `503 deadline-exceeded` *without occupying a worker*; a running
 //!   job observes it at cooperative checkpoints inside the simulator
-//!   ([`job::JobControl`], [`mt_sim::Machine::run_cancellable`]).
+//!   ([`job::JobControl`], [`mt_sim::RunControl::cancel`]).
 //! * **Supervision** — worker panics are caught; the machine is
 //!   quarantined and rebuilt, `worker_panics` counts the event, and a
 //!   worker thread that dies outright is respawned by a supervisor

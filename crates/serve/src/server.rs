@@ -558,12 +558,12 @@ fn worker_loop(shared: &Shared, index: usize) {
                     sim: None,
                 };
                 let body = shed_body("worker-panic", "job panicked; worker recovered");
-                let _ = job.reply.send((500, body, spans));
                 shared.metrics.record_worker_job(
                     index,
                     done.saturating_duration_since(picked).as_micros() as u64,
                 );
                 drop(busy);
+                let _ = job.reply.send((500, body, spans));
                 continue;
             }
         };
@@ -597,14 +597,16 @@ fn worker_loop(shared: &Shared, index: usize) {
                 .sim
                 .map(|(start, dur)| (offset_us(job.t0, start), dur.as_micros() as u64)),
         };
-        // A vanished handler (client hung up) is fine; the result is
-        // already cached for the retry.
-        let _ = job.reply.send((result.status, result.body, spans));
+        // The worker is idle before the reply leaves, so a client that
+        // reads `/metrics` right after its response sees it idle.
         shared.metrics.record_worker_job(
             index,
             done.saturating_duration_since(picked).as_micros() as u64,
         );
         drop(busy);
+        // A vanished handler (client hung up) is fine; the result is
+        // already cached for the retry.
+        let _ = job.reply.send((result.status, result.body, spans));
     }
 }
 

@@ -56,7 +56,7 @@ pub mod timeline;
 pub mod timing;
 
 pub use config::{MachineConfig, KNOB_NAMES};
-pub use machine::{ArchState, Backend, Machine, RunError, SimConfig, Snapshot};
+pub use machine::{ArchState, Backend, Machine, RunControl, RunError, SimConfig, Snapshot};
 pub use mt_isa::{DataSegment, Program, DEFAULT_TEXT_BASE};
 pub use stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
 pub use timeline::{trace_lines, Timeline};

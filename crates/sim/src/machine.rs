@@ -13,7 +13,6 @@ use mt_xlate::{TranslatedProgram, Uop};
 
 use crate::config::MachineConfig;
 use crate::stats::{OrderingViolation, RunStats, StallBreakdown, ViolationKind};
-use crate::timeline::Timeline;
 use crate::timing::IssueTiming;
 use mt_isa::Program;
 
@@ -53,9 +52,6 @@ pub struct SimConfig {
     /// cost of "a fair amount of hardware"; provided for the ablation
     /// study.
     pub full_range_interlock: bool,
-    /// Record every run's event stream in [`Machine::trace_events`]
-    /// (expensive; debugging only). A recorded run steps every cycle.
-    pub trace: bool,
     /// No-progress watchdog: abort with [`RunError::Watchdog`] once this
     /// many consecutive cycles elapse in which no CPU instruction completes
     /// and no FPU element or load issues. `0` (the default) disables it.
@@ -79,7 +75,6 @@ impl Default for SimConfig {
             checked_ordering: false,
             serialized_issue: false,
             full_range_interlock: false,
-            trace: false,
             watchdog_cycles: 0,
             backend: Backend::default(),
         }
@@ -127,7 +122,7 @@ pub enum RunError {
         idle_cycles: u64,
     },
     /// A cooperative cancellation checkpoint
-    /// ([`Machine::run_cancellable`]) asked the run to stop — the service
+    /// ([`RunControl::cancel`]) asked the run to stop — the service
     /// layer's request deadline expired or the server began draining. The
     /// machine state is exactly the paused state a [`Machine::run_until`]
     /// stop at the same cycle would leave.
@@ -191,6 +186,41 @@ impl Snapshot {
     /// The cycle at which the snapshot was taken.
     pub fn cycle(&self) -> u64 {
         self.machine.cycle
+    }
+}
+
+/// How a [`Machine::run_with`] call may end early. The default runs to
+/// `halt` (or an error).
+#[derive(Default)]
+pub struct RunControl<'a> {
+    /// Pause when the machine cycle reaches this value — the fault
+    /// campaign's way of stopping a golden replay at an exact cycle to
+    /// corrupt state, then resuming with another run. Hops clamp to the
+    /// stop point, so a paused machine sits at exactly `stop_at` whether
+    /// the run stepped or hopped. Once the CPU halts, the FPU drain runs
+    /// to completion even across `stop_at` — an injection cycle inside
+    /// the drain span classifies as completed-early.
+    pub stop_at: Option<u64>,
+    /// A cooperative cancellation checkpoint `(check_every, cancelled)`:
+    /// every `check_every` cycles the run pauses (hops clamp to the
+    /// checkpoint, exactly as they clamp to `stop_at`) and asks
+    /// `cancelled`; a `true` answer abandons the run with
+    /// [`RunError::Cancelled`], leaving the machine as a `stop_at` pause
+    /// at that cycle would. A run that is never cancelled is
+    /// bit-identical to one without a checkpoint, because the checkpoint
+    /// is a clamp inside one call, not a re-entry (re-entry would reset
+    /// the cycle-limit budget and report per-slice statistics deltas).
+    /// This is the service layer's request-deadline and drain hook.
+    pub cancel: Option<(u64, &'a mut dyn FnMut() -> bool)>,
+}
+
+impl RunControl<'_> {
+    /// Pause at `stop_at`, with no cancellation checkpoint.
+    pub fn until(stop_at: u64) -> Self {
+        RunControl {
+            stop_at: Some(stop_at),
+            cancel: None,
+        }
     }
 }
 
@@ -268,7 +298,6 @@ pub struct Machine {
     ir_pc: u32,
     ir_index: u32,
     violations: Vec<OrderingViolation>,
-    trace_events: Vec<TraceEvent>,
     /// The loaded program's text translated to micro-ops, indexed by PC
     /// (built by [`Machine::load_program`]). `Arc` keeps
     /// [`Machine::snapshot`] and clone cheap: the table is immutable, so
@@ -278,6 +307,11 @@ pub struct Machine {
     /// instruction completed or an FPU element/load issued) — the
     /// watchdog's reference point. Always `<= cycle`.
     last_progress: u64,
+}
+
+/// The statistics of a run without a stop point, which always halts.
+fn halted(stats: Option<RunStats>) -> RunStats {
+    stats.expect("a run without a stop point always completes")
 }
 
 /// Forwards one event when the sink wants it. With [`NullSink`] the whole
@@ -317,7 +351,6 @@ impl Machine {
             ir_pc: 0,
             ir_index: 0,
             violations: Vec::new(),
-            trace_events: Vec::new(),
             xlate: None,
             last_progress: 0,
         }
@@ -384,26 +417,6 @@ impl Machine {
         self.timing
     }
 
-    /// The per-cycle timeline, folded on demand from the recorded event
-    /// stream (populated when `config.trace` is set) — render with
-    /// [`Timeline::render`] for diagrams in the style of the paper's
-    /// Figs. 5–8. For rows annotated with source locations, call
-    /// [`Timeline::from_events`] directly with a resolver.
-    pub fn timeline(&self) -> Timeline {
-        Timeline::from_events(&self.trace_events, |_| None)
-    }
-
-    /// The recorded event stream of the most recent run (populated when
-    /// `config.trace` is set; cleared at the start of each run).
-    pub fn trace_events(&self) -> &[TraceEvent] {
-        &self.trace_events
-    }
-
-    /// Takes ownership of the recorded event stream, leaving it empty.
-    pub fn take_trace_events(&mut self) -> Vec<TraceEvent> {
-        std::mem::take(&mut self.trace_events)
-    }
-
     /// Schedules an external interrupt: `cycles` from now the CPU stops
     /// executing the program (as if redirected to a handler). Per §2.3.1
     /// the FPU is *not* stopped — "vector ALU instructions may continue
@@ -445,7 +458,7 @@ impl Machine {
     /// Resets the machine to the state [`Machine::new`]`(config)` would
     /// build — fresh registers, zeroed memory, cold caches, cleared PSW,
     /// no pending interrupt, zeroed statistics and diagnostics — while
-    /// keeping the large allocations (memory backing, trace buffers).
+    /// keeping the large allocations (memory backing).
     ///
     /// This is the worker-recycling path: a long-lived service worker owns
     /// one `Machine` and runs *arbitrary, unrelated* programs back to
@@ -480,116 +493,35 @@ impl Machine {
         self.ir_pc = 0;
         self.ir_index = 0;
         self.violations.clear();
-        self.trace_events.clear();
         self.xlate = None;
         self.last_progress = 0;
     }
 
     /// Runs from the current PC until `halt`, returning the statistics of
-    /// this run (deltas — safe to call repeatedly for warm re-runs).
-    ///
-    /// With `config.trace` set, every cycle's typed events are recorded in
-    /// the internal buffer ([`Machine::trace_events`]), which holds the
-    /// *most recent* run only — it is cleared at the start of each run, so
-    /// a long-lived machine neither grows without bound nor mixes runs.
-    /// Otherwise the run loop monomorphizes over [`NullSink`], emission
-    /// costs nothing, and waits are hopped instead of stepped.
+    /// this run (deltas — safe to call repeatedly for warm re-runs). The
+    /// run loop monomorphizes over [`NullSink`]: emission costs nothing
+    /// and waits are hopped instead of stepped.
     ///
     /// # Errors
     ///
     /// [`RunError::CycleLimit`] if the program does not halt, or
     /// [`RunError::BadInstruction`] on an undecodable word.
     pub fn run(&mut self) -> Result<RunStats, RunError> {
-        if self.config.trace {
-            // Move the buffer out so the borrow of `self` stays single.
-            let mut buf = std::mem::take(&mut self.trace_events);
-            buf.clear();
-            let result = self.run_with_sink(&mut buf);
-            self.trace_events = buf;
-            result
-        } else {
-            self.run_with_sink(&mut NullSink)
-        }
-    }
-
-    /// [`Machine::run`] with a cooperative cancellation checkpoint: every
-    /// `check_every` cycles the run pauses (hops clamp to the checkpoint,
-    /// exactly as they clamp to a [`Machine::run_until`] stop point) and
-    /// asks `cancelled`; a `true` answer abandons the run with
-    /// [`RunError::Cancelled`], leaving the machine in the same state a
-    /// `run_until` pause at that cycle would.
-    /// A run that is never cancelled is bit-identical to [`Machine::run`]
-    /// — same statistics, same trace, same architectural results — because
-    /// the checkpoint is a clamp inside one `run_inner` call, not a
-    /// re-entry (re-entry would reset the cycle-limit budget and report
-    /// per-slice statistics deltas).
-    ///
-    /// This is the service layer's request-deadline and drain-cancel hook:
-    /// the closure typically compares `Instant::now()` against a deadline
-    /// or loads an [`std::sync::atomic::AtomicBool`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Machine::run`] returns, plus [`RunError::Cancelled`].
-    pub fn run_cancellable(
-        &mut self,
-        check_every: u64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> Result<RunStats, RunError> {
-        if self.config.trace {
-            let mut buf = std::mem::take(&mut self.trace_events);
-            buf.clear();
-            let result = self.run_inner_cancellable(&mut buf, None, Some((check_every, cancelled)));
-            self.trace_events = buf;
-            result
-        } else {
-            self.run_inner_cancellable(&mut NullSink, None, Some((check_every, cancelled)))
-        }
-        .map(|stats| stats.expect("a run without a stop point always completes"))
-    }
-
-    /// [`Machine::run_cancellable`] with a caller-supplied event sink.
-    pub fn run_cancellable_with_sink<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        check_every: u64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> Result<RunStats, RunError> {
-        self.run_inner_cancellable(sink, None, Some((check_every, cancelled)))
-            .map(|stats| stats.expect("a run without a stop point always completes"))
+        self.run_with_sink(&mut NullSink)
     }
 
     /// [`Machine::run`] with a caller-supplied event sink. The run loop is
     /// generic over the sink, so a no-op sink compiles to the untraced
-    /// loop while a recording or folding sink sees every typed event
-    /// as it happens.
+    /// loop while a recording or folding sink (a `Vec<TraceEvent>`, a
+    /// profiler) sees every typed event as it happens.
     pub fn run_with_sink<S: EventSink>(&mut self, sink: &mut S) -> Result<RunStats, RunError> {
-        self.run_inner(sink, None)
-            .map(|stats| stats.expect("a run without a stop point always completes"))
+        self.run_with(sink, RunControl::default()).map(halted)
     }
 
-    /// Runs until `halt` *or* until `self.cycle` reaches `stop_at`,
-    /// whichever comes first — the fault-injection campaign's way of
-    /// pausing a golden replay at an exact cycle to corrupt state, then
-    /// resuming with [`Machine::run`]. Returns `Ok(None)` when the run
-    /// paused at the stop point (resume later; statistics will cover the
-    /// remainder as its own delta) and `Ok(Some(stats))` when the program
-    /// halted before reaching it. Hops clamp to the stop point, so a
-    /// paused machine sits at exactly `stop_at` whether the run stepped or
-    /// hopped. Once the CPU halts, the FPU drain runs to completion even
-    /// across `stop_at` — an injection cycle inside the drain span
-    /// classifies as completed-early.
+    /// Runs until `halt` *or* until `self.cycle` reaches `stop_at` — see
+    /// [`RunControl::stop_at`]. Returns `Ok(None)` when the run paused.
     pub fn run_until(&mut self, stop_at: u64) -> Result<Option<RunStats>, RunError> {
-        self.run_inner(&mut NullSink, Some(stop_at))
-    }
-
-    /// [`Machine::run_until`] with an event sink.
-    pub fn run_until_with_sink<S: EventSink>(
-        &mut self,
-        stop_at: u64,
-        sink: &mut S,
-    ) -> Result<Option<RunStats>, RunError> {
-        self.run_inner(sink, Some(stop_at))
+        self.run_with(&mut NullSink, RunControl::until(stop_at))
     }
 
     /// Captures the complete machine state — architectural (registers,
@@ -643,7 +575,6 @@ impl Machine {
             ir_pc,
             ir_index,
             violations,
-            trace_events,
             xlate,
             last_progress,
         } = &*snapshot.machine;
@@ -669,7 +600,6 @@ impl Machine {
         self.ir_pc = *ir_pc;
         self.ir_index = *ir_index;
         self.violations.clone_from(violations);
-        self.trace_events.clone_from(trace_events);
         self.xlate.clone_from(xlate);
         self.last_progress = *last_progress;
     }
@@ -688,20 +618,30 @@ impl Machine {
         }
     }
 
-    fn run_inner<S: EventSink>(
+    /// The one run entry point: runs from the current PC under `control`,
+    /// sending every typed event to `sink`. Whether waits are stepped or
+    /// hopped is chosen by the sink alone — a sink that wants events sees
+    /// every cycle, [`NullSink`] lets the loop hop — and both give the
+    /// same statistics and architectural results.
+    ///
+    /// Returns `Ok(Some(stats))` when the program halted and `Ok(None)`
+    /// when it paused at [`RunControl::stop_at`]; statistics are deltas
+    /// over this call, so a resumed run reports the remainder.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::CycleLimit`], [`RunError::BadInstruction`],
+    /// [`RunError::MemoryFault`], [`RunError::Watchdog`], and
+    /// [`RunError::Cancelled`] when [`RunControl::cancel`] answers `true`.
+    pub fn run_with<S: EventSink>(
         &mut self,
         sink: &mut S,
-        stop_at: Option<u64>,
+        control: RunControl<'_>,
     ) -> Result<Option<RunStats>, RunError> {
-        self.run_inner_cancellable(sink, stop_at, None)
-    }
-
-    fn run_inner_cancellable<S: EventSink>(
-        &mut self,
-        sink: &mut S,
-        stop_at: Option<u64>,
-        mut checkpoint: Option<(u64, &mut dyn FnMut() -> bool)>,
-    ) -> Result<Option<RunStats>, RunError> {
+        let RunControl {
+            stop_at,
+            cancel: mut checkpoint,
+        } = control;
         let start_cycle = self.cycle;
         let start_instructions = self.instructions;
         let start_stalls = self.stalls;

@@ -5,7 +5,8 @@
 use mt_fparith::FpOp;
 use mt_isa::cpu::BranchCond;
 use mt_isa::{FReg, FpuAluInstr, IReg, Instr};
-use mt_sim::{Machine, Program, RunError, SimConfig, ViolationKind};
+use mt_sim::{Machine, Program, RunControl, RunError, RunStats, SimConfig, ViolationKind};
+use mt_trace::{NullSink, TraceEvent};
 
 fn r(i: u8) -> FReg {
     FReg::new(i)
@@ -13,6 +14,16 @@ fn r(i: u8) -> FReg {
 
 fn ir(i: u8) -> IReg {
     IReg::new(i)
+}
+
+/// Runs to halt, stepping every cycle (a recording sink) or hopping over
+/// waits (no sink).
+fn run_stepped_or_hopped(m: &mut Machine, stepped: bool) -> Result<RunStats, RunError> {
+    if stepped {
+        m.run_with_sink(&mut Vec::<TraceEvent>::new())
+    } else {
+        m.run()
+    }
 }
 
 fn machine_with(instrs: &[Instr]) -> Machine {
@@ -423,14 +434,12 @@ fn trace_records_completed_instructions() {
         Instr::Halt,
     ])
     .unwrap();
-    let mut m = Machine::new(SimConfig {
-        trace: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
-    m.run().unwrap();
-    let log = mt_sim::trace_lines(m.trace_events());
+    let mut events = Vec::new();
+    m.run_with_sink(&mut events).unwrap();
+    let log = mt_sim::trace_lines(&events);
     assert_eq!(log.len(), 2);
     assert!(log[0].contains("addi r1, r0, 7"));
     assert!(log[1].contains("halt"));
@@ -539,14 +548,12 @@ fn timeline_reproduces_figure_8() {
         Instr::Halt,
     ])
     .unwrap();
-    let mut m = Machine::new(SimConfig {
-        trace: true,
-        ..SimConfig::default()
-    });
+    let mut m = Machine::new(SimConfig::default());
     m.load_program(&prog);
     m.warm_instructions(&prog);
-    m.run().unwrap();
-    let t = m.timeline();
+    let mut events = Vec::new();
+    m.run_with_sink(&mut events).unwrap();
+    let t = mt_sim::Timeline::from_events(&events, |_| None);
     // One transfer row + 8 element rows (halt records no timeline row).
     assert_eq!(t.len(), 9);
     let rendered = t.render(64);
@@ -610,13 +617,10 @@ fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
         // Cold machine: the very first fetch pays the full 16-cycle
         // buffer + instruction-cache miss.
         let prog = Program::assemble(&[Instr::Nop, Instr::Halt]).expect("assembles");
-        let mut m = Machine::new(SimConfig {
-            trace: stepped,
-            ..SimConfig::default()
-        });
+        let mut m = Machine::new(SimConfig::default());
         m.load_program(&prog);
         m.interrupt_after(5); // fires mid-penalty
-        let stats = m.run().unwrap();
+        let stats = run_stepped_or_hopped(&mut m, stepped).unwrap();
         assert_eq!(stats.cycles, 5);
         assert_eq!(stats.instructions, 0, "still waiting on the fetch");
         assert_eq!(
@@ -627,42 +631,73 @@ fn interrupt_inside_fetch_penalty_keeps_accounting_exact() {
     }
 }
 
-/// Regression: `trace_events` (and the trace text rendered from it) holds
-/// the most recent run only. Trace buffers used to accumulate across
-/// `run` calls on a reused machine — unbounded growth and cross-run
-/// contamination.
-#[test]
-fn trace_buffers_hold_most_recent_run_only() {
-    let prog = Program::assemble(&[
-        Instr::Addi {
-            rd: ir(1),
-            rs1: ir(0),
-            imm: 7,
-        },
-        Instr::Halt,
-    ])
-    .expect("assembles");
-    let mut m = Machine::new(SimConfig {
-        trace: true,
-        ..SimConfig::default()
-    });
-    m.load_program(&prog);
-    m.warm_instructions(&prog);
-    m.run().unwrap();
-    let first_log = mt_sim::trace_lines(m.trace_events());
-    let first_events = m.trace_events().len();
-    assert!(!first_log.is_empty() && first_events > 0);
+/// [`Machine::run_with`] stepped (events recorded) or hopped (none).
+fn run_with_stepped_or_hopped(
+    m: &mut Machine,
+    control: RunControl<'_>,
+    stepped: bool,
+) -> (Result<Option<RunStats>, RunError>, Vec<TraceEvent>) {
+    let mut events = Vec::new();
+    let outcome = if stepped {
+        m.run_with(&mut events, control)
+    } else {
+        m.run_with(&mut NullSink, control)
+    };
+    (outcome, events)
+}
 
-    m.reset_for_rerun();
-    m.run().unwrap();
-    // Same shape as the first run (cycle numbers keep counting across
-    // reruns, so compare everything after the cycle column).
-    let log = mt_sim::trace_lines(m.trace_events());
-    assert_eq!(log.len(), first_log.len(), "replaces, not appends");
-    for (a, b) in log.iter().zip(&first_log) {
-        assert_eq!(&a[8..], &b[8..], "second run replaces, not appends");
+/// A cancellation checkpoint that never fires is invisible: the same
+/// statistics, events and final state as a run without one. One that
+/// fires stops the run exactly where a `stop_at` pause at that cycle
+/// would, and both resume identically. Stepped and hopped alike.
+#[test]
+fn cancellation_checkpoint_is_invisible_until_it_fires() {
+    let fresh = || {
+        let prog = Program::assemble(&[
+            Instr::Falu(FpuAluInstr::vector(FpOp::Add, r(2), r(1), r(0), 8).unwrap()),
+            Instr::Falu(FpuAluInstr::vector(FpOp::Mul, r(16), r(2), r(2), 8).unwrap()),
+            Instr::Halt,
+        ])
+        .unwrap();
+        let mut m = Machine::new(SimConfig::default());
+        m.load_program(&prog); // cold fetch: the first cycles are a hop
+        m
+    };
+    for stepped in [false, true] {
+        let mut plain = fresh();
+        let reference = run_with_stepped_or_hopped(&mut plain, RunControl::default(), stepped);
+        assert!(reference.0.as_ref().unwrap().as_ref().unwrap().cycles > 21);
+        for every in [1, 3, 7] {
+            let mut never = || false;
+            let mut m = fresh();
+            let armed = RunControl {
+                stop_at: None,
+                cancel: Some((every, &mut never)),
+            };
+            let outcome = run_with_stepped_or_hopped(&mut m, armed, stepped);
+            assert_eq!(outcome, reference, "every={every} stepped={stepped}");
+            assert_eq!(m.arch_state(), plain.arch_state());
+
+            let mut checks = 0;
+            let mut third = || {
+                checks += 1;
+                checks == 3
+            };
+            let mut cancelled = fresh();
+            let fires = RunControl {
+                stop_at: None,
+                cancel: Some((every, &mut third)),
+            };
+            let (outcome, events) = run_with_stepped_or_hopped(&mut cancelled, fires, stepped);
+            let cycle = 3 * every;
+            assert_eq!(outcome, Err(RunError::Cancelled { cycle }));
+            let mut paused = fresh();
+            let pause = run_with_stepped_or_hopped(&mut paused, RunControl::until(cycle), stepped);
+            assert_eq!(pause, (Ok(None), events));
+            assert_eq!(cancelled.arch_state(), paused.arch_state());
+            assert_eq!(cancelled.run(), paused.run());
+        }
     }
-    assert_eq!(m.trace_events().len(), first_events);
 }
 
 /// Regression (PR 4): the PSW is per-run supervisor state. Before the
@@ -719,7 +754,6 @@ fn watchdog_catches_stuck_scoreboard_stepped_and_hopped() {
         ])
         .unwrap();
         let mut m = Machine::new(SimConfig {
-            trace: stepped,
             watchdog_cycles: 100,
             ..SimConfig::default()
         });
@@ -728,7 +762,7 @@ fn watchdog_catches_stuck_scoreboard_stepped_and_hopped() {
         // The injected fault: a reservation on a source register that
         // nothing in flight will ever clear.
         m.fpu.flip_scoreboard(r(0));
-        let err = m.run().unwrap_err();
+        let err = run_stepped_or_hopped(&mut m, stepped).unwrap_err();
         (err, format!("{:?}", m.fpu.stats()))
     };
     let (stepped_err, stepped_stats) = run_wedged(true);

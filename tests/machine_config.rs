@@ -21,8 +21,8 @@
 use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr};
-use multititan::kernels::harness::run_kernel_with;
-use multititan::kernels::livermore;
+use multititan::kernels::harness::{run_kernel_recorded, run_kernel_with, KernelReport};
+use multititan::kernels::{livermore, Kernel};
 use multititan::sim::{Machine, MachineConfig, Program, RunStats, SimConfig, KNOB_NAMES};
 use proptest::prelude::*;
 
@@ -37,8 +37,9 @@ struct Observed {
     psw: String,
 }
 
-/// Assembles and runs `instrs` under `cfg`, cold caches.
-fn run_one(instrs: &[Instr], regs: &[u64], cfg: SimConfig) -> Observed {
+/// Assembles and runs `instrs` under `cfg`, cold caches, stepping every
+/// cycle (a recording sink) or hopping over waits (no sink).
+fn run_one(instrs: &[Instr], regs: &[u64], cfg: SimConfig, stepped: bool) -> Observed {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(cfg);
     m.load_program(&prog);
@@ -46,12 +47,25 @@ fn run_one(instrs: &[Instr], regs: &[u64], cfg: SimConfig) -> Observed {
         m.fpu.write_reg_direct(FReg::new(i as u8), bits);
     }
     m.set_ireg(IReg::new(1), DATA_BASE);
-    let stats = m.run().unwrap();
+    let stats = if stepped {
+        m.run_with_sink(&mut Vec::new()).unwrap()
+    } else {
+        m.run().unwrap()
+    };
     Observed {
         stats,
         fregs: (0..52).map(|i| m.fpu.read_reg(FReg::new(i))).collect(),
         iregs: (0..32).map(|i| m.ireg(IReg::new(i))).collect(),
         psw: format!("{:?}", m.fpu.psw()),
+    }
+}
+
+/// Runs a kernel under the §3.2 protocol, stepped or hopped.
+fn run_kernel(kernel: &Kernel, cfg: SimConfig, stepped: bool) -> KernelReport {
+    if stepped {
+        run_kernel_recorded(kernel, cfg).unwrap().report
+    } else {
+        run_kernel_with(kernel, cfg).unwrap()
     }
 }
 
@@ -176,16 +190,14 @@ proptest! {
     ) {
         for stepped in [false, true] {
             let implicit = run_one(&instrs, &regs, SimConfig {
-                trace: stepped,
                 max_cycles: 1_000_000,
                 ..SimConfig::default()
-            });
+            }, stepped);
             let explicit = run_one(&instrs, &regs, SimConfig {
-                trace: stepped,
                 max_cycles: 1_000_000,
                 machine: MachineConfig::multititan(),
                 ..SimConfig::default()
-            });
+            }, stepped);
             prop_assert_eq!(
                 &implicit, &explicit,
                 "explicit multititan() diverged (stepped={})", stepped
@@ -206,8 +218,7 @@ proptest! {
         (checked_ordering, serialized_issue, full_range_interlock) in
             (any::<bool>(), any::<bool>(), any::<bool>()),
     ) {
-        let config = |trace| SimConfig {
-            trace,
+        let config = SimConfig {
             max_cycles: 1_000_000,
             machine,
             checked_ordering,
@@ -215,8 +226,8 @@ proptest! {
             full_range_interlock,
             ..SimConfig::default()
         };
-        let hopped = run_one(&instrs, &regs, config(false));
-        let stepped = run_one(&instrs, &regs, config(true));
+        let hopped = run_one(&instrs, &regs, config.clone(), false);
+        let stepped = run_one(&instrs, &regs, config, true);
         prop_assert_eq!(
             &hopped, &stepped,
             "hopped diverged from stepped under {} (checked={}, serialized={}, full_range={})",
@@ -237,23 +248,15 @@ fn corpus_default_config_is_bit_identical() {
     for n in 1..=24u8 {
         let kernel = livermore::by_number(n);
         for stepped in [false, true] {
-            let implicit = run_kernel_with(
+            let implicit = run_kernel(&kernel, SimConfig::default(), stepped);
+            let explicit = run_kernel(
                 &kernel,
                 SimConfig {
-                    trace: stepped,
-                    ..SimConfig::default()
-                },
-            )
-            .unwrap();
-            let explicit = run_kernel_with(
-                &kernel,
-                SimConfig {
-                    trace: stepped,
                     machine: MachineConfig::multititan(),
                     ..SimConfig::default()
                 },
-            )
-            .unwrap();
+                stepped,
+            );
             assert_eq!(
                 implicit.cold, explicit.cold,
                 "loop {n} cold (stepped={stepped})"
@@ -276,16 +279,15 @@ fn corpus_lanes_2_is_backend_invariant_and_never_slower() {
     for n in 1..=24u8 {
         let kernel = livermore::by_number(n);
         let base = run_kernel_with(&kernel, SimConfig::default()).unwrap();
-        let [hopped, stepped] = [false, true].map(|trace| {
-            run_kernel_with(
+        let [hopped, stepped] = [false, true].map(|stepped| {
+            run_kernel(
                 &kernel,
                 SimConfig {
-                    trace,
                     machine,
                     ..SimConfig::default()
                 },
+                stepped,
             )
-            .unwrap()
         });
         assert_eq!(
             hopped.cold, stepped.cold,

@@ -21,7 +21,7 @@ use multititan::fparith::op::ALL_OPS;
 use multititan::isa::cpu::{AluOp, BranchCond};
 use multititan::isa::{FReg, FpuAluInstr, IReg, Instr, DEFAULT_TEXT_BASE};
 use multititan::mem::Memory;
-use multititan::sim::{ArchState, Machine, Program, RunStats, SimConfig};
+use multititan::sim::{ArchState, Machine, Program, RunControl, RunError, RunStats, SimConfig};
 use multititan::trace::TraceEvent;
 use proptest::prelude::*;
 
@@ -51,12 +51,9 @@ fn observe(m: &Machine) -> Final {
 }
 
 /// Builds a cold machine with the program loaded and inputs written.
-/// `stepped` records every run's events (`SimConfig::trace`), which makes
-/// the engine step every cycle instead of hopping.
-fn fresh(instrs: &[Instr], regs: &[u64], stepped: bool) -> Machine {
+fn fresh(instrs: &[Instr], regs: &[u64]) -> Machine {
     let prog = Program::assemble(instrs).unwrap();
     let mut m = Machine::new(SimConfig {
-        trace: stepped,
         max_cycles: 1_000_000,
         ..SimConfig::default()
     });
@@ -68,11 +65,20 @@ fn fresh(instrs: &[Instr], regs: &[u64], stepped: bool) -> Machine {
     m
 }
 
-/// [`Machine::run_until`], stepped (recording into a throwaway sink) or
-/// hopped.
+/// [`Machine::run`], stepped (recording into a throwaway sink, which
+/// makes the engine step every cycle) or hopped.
+fn run(m: &mut Machine, stepped: bool) -> Result<RunStats, RunError> {
+    if stepped {
+        m.run_with_sink(&mut Vec::new())
+    } else {
+        m.run()
+    }
+}
+
+/// [`Machine::run_until`], stepped or hopped.
 fn run_until(m: &mut Machine, stop: u64, stepped: bool) -> Option<RunStats> {
     if stepped {
-        m.run_until_with_sink(stop, &mut Vec::new())
+        m.run_with(&mut Vec::new(), RunControl::until(stop))
     } else {
         m.run_until(stop)
     }
@@ -216,27 +222,27 @@ proptest! {
         stepped in any::<bool>(),
     ) {
         // Uninterrupted reference.
-        let mut whole = fresh(&instrs, &regs, stepped);
-        let whole_stats = whole.run().unwrap();
+        let mut whole = fresh(&instrs, &regs);
+        let whole_stats = run(&mut whole, stepped).unwrap();
         let reference = observe(&whole);
         let stop = whole_stats.cycles * quarter / 4;
 
         // Paused run: stop mid-flight, snapshot, resume.
-        let mut m = fresh(&instrs, &regs, stepped);
+        let mut m = fresh(&instrs, &regs);
         match run_until(&mut m, stop, stepped) {
             // `stop` landed inside the final drain span, which never
             // pauses; the completed run must already match.
             Some(_) => prop_assert_eq!(observe(&m), reference),
             None => {
                 let snap = m.snapshot();
-                let first = m.run().unwrap();
+                let first = run(&mut m, stepped).unwrap();
                 let first_final = observe(&m);
                 prop_assert_eq!(&first_final, &reference);
 
                 // Rewind and resume again: a snapshot is a true fork
                 // point, not a one-shot.
                 m.restore(&snap);
-                let second = m.run().unwrap();
+                let second = run(&mut m, stepped).unwrap();
                 prop_assert_eq!(first, second);
                 prop_assert_eq!(observe(&m), first_final);
             }
@@ -252,15 +258,15 @@ proptest! {
         regs in arb_regs(),
         quarter in 1u64..4,
     ) {
-        let mut whole = fresh(&instrs, &regs, false);
+        let mut whole = fresh(&instrs, &regs);
         let mut whole_events: Vec<TraceEvent> = Vec::new();
         let whole_stats = whole.run_with_sink(&mut whole_events).unwrap();
         let reference = observe(&whole);
         let stop = whole_stats.cycles * quarter / 4;
 
-        let mut m = fresh(&instrs, &regs, false);
+        let mut m = fresh(&instrs, &regs);
         let mut events: Vec<TraceEvent> = Vec::new();
-        match m.run_until_with_sink(stop, &mut events).unwrap() {
+        match m.run_with(&mut events, RunControl::until(stop)).unwrap() {
             Some(_) => prop_assert_eq!(observe(&m), reference),
             None => {
                 m.run_with_sink(&mut events).unwrap();
@@ -289,15 +295,15 @@ proptest! {
         stepped in any::<bool>(),
         rounds in prop::collection::vec(arb_round(), 1..8),
     ) {
-        let mut m = fresh(&instrs, &regs, stepped);
-        let cycles = m.clone().run().unwrap().cycles;
+        let mut m = fresh(&instrs, &regs);
+        let cycles = run(&mut m.clone(), stepped).unwrap().cycles;
         let _ = run_until(&mut m, cycles * quarter / 4, stepped);
         let paused = (m.clone(), m.snapshot());
-        m.run().unwrap();
+        run(&mut m, stepped).unwrap();
         let halted = (m.clone(), m.snapshot());
         let checkpoints = [paused, halted];
         for round in &rounds {
-            let _ = m.run();
+            let _ = run(&mut m, stepped);
             for &(addr, value) in &round.stores {
                 m.mem.memory.write_u32(addr, value);
             }
@@ -312,7 +318,7 @@ proptest! {
             m.restore(snap);
             prop_assert_eq!(observe(&m), observe(reference));
             let (mut resumed, mut expected) = (m.clone(), reference.clone());
-            prop_assert_eq!(resumed.run(), expected.run());
+            prop_assert_eq!(run(&mut resumed, stepped), run(&mut expected, stepped));
             prop_assert_eq!(observe(&resumed), observe(&expected));
         }
     }
@@ -333,7 +339,7 @@ fn restore_to_cycle_zero_reruns_identically() {
         Instr::Halt,
     ];
     let regs: Vec<u64> = (0..52).map(|i| (i as f64).to_bits()).collect();
-    let mut m = fresh(&instrs, &regs, false);
+    let mut m = fresh(&instrs, &regs);
     let base = m.snapshot();
     assert_eq!(base.cycle(), 0);
     let first = m.run().unwrap();
